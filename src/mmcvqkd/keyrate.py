@@ -221,26 +221,41 @@ def total_rate_batch(
 ) -> np.ndarray:
     """Protocol totals for batches of (G, T_1..T_ksel) parameter points.
 
-    ``gains`` has shape (n,), ``transmissivities`` shape (n, k_sel); the
-    operation ``kind`` acts on the first k_sel supermodes, the rest stay
-    untouched.
+    ``transmissivities`` comes in one of two layouts; the operation ``kind``
+    acts on the first k_sel supermodes, the rest stay untouched.
+
+    * Point list: ``gains`` has shape (n,) and ``transmissivities`` shape
+      (n, k_sel), or (n,) for k_sel = 1; the result has shape (n,).
+    * Open mesh: a tuple of k_sel arrays, one per operated supermode, each
+      broadcastable against ``gains``, as from
+      ``np.meshgrid(..., indexing="ij", sparse=True)``. Supermode k is then
+      evaluated on the broadcast of ``gains`` with its own array only, and
+      the per-mode terms broadcast to the full grid in the sum.
+
+    Supermodes are accumulated in ascending order in both layouts, so a total
+    is bit-identical whichever layout evaluated it.
     """
     gains = np.asarray(gains, dtype=float)
-    transmissivities = np.asarray(transmissivities, dtype=float)
-    if transmissivities.ndim == 1:
-        transmissivities = transmissivities[:, None]
-    k_sel = transmissivities.shape[1] if kind is not OpKind.NONE else 0
-    total = np.zeros_like(gains)
-    probability = np.ones_like(gains)
+    if isinstance(transmissivities, tuple):
+        per_mode = [np.asarray(t, dtype=float) for t in transmissivities]
+    else:
+        transmissivities = np.asarray(transmissivities, dtype=float)
+        if transmissivities.ndim == 1:
+            transmissivities = transmissivities[:, None]
+        per_mode = list(transmissivities.T)
+    k_sel = len(per_mode) if kind is not OpKind.NONE else 0
+    total, probability = 0.0, 1.0
     for k, lam in enumerate(lambdas):
         xi_sq = np.tanh(gains * lam) ** 2
         if k < k_sel:
-            a, b, c, p = heralded_entries(kind, xi_sq, transmissivities[:, k])
+            a, b, c, p = heralded_entries(kind, xi_sq, per_mode[k])
         else:
             a, b, c, p = heralded_entries(OpKind.NONE, xi_sq, np.ones_like(gains))
         rates_k, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
-        total += np.maximum(rates_k, 0.0) if clamp else rates_k
-        probability *= p
+        # Not `+=`: an in-place update cannot grow to the broadcast shape of an
+        # open mesh, where the per-mode terms meet the full grid only here.
+        total = total + (np.maximum(rates_k, 0.0) if clamp else rates_k)
+        probability = probability * p
     if not rate.memory:
-        total *= probability
+        total = total * probability
     return total

@@ -7,6 +7,13 @@ coordinate-wise golden-section refinement from the best few grid points.
 Grid + refinement is preferred over gradient methods: the rate surface has
 ridges near physicality boundaries and reproducibility matters more than
 speed at this dimensionality (at most four axes).
+
+Sub-channel k depends only on (G * lambda_k, T_k), so the grid is evaluated
+on an open mesh: the kernel sees each operated supermode on its (G, T_k)
+plane and each untouched one on the G axis alone, and the full grid exists
+only as the broadcast sum (times the product of heralding probabilities
+without memory) of these per-mode tables. The optimum is bit-identical to
+evaluating every grid point in full.
 """
 
 from __future__ import annotations
@@ -24,8 +31,14 @@ from .source import SupermodeSpectrum
 # Keep max_k r_k at or below ~2.5 (about 21.7 dB of squeezing) by default.
 MAX_SUPERMODE_SQUEEZING = 2.5
 DEFAULT_GRID_POINTS = 25
+# Ceiling on max_k r_k for an explicit g_max. 1 - tanh(r)^2 ~ 4 exp(-2r) is
+# formed by cancellation: it keeps about 8 significant digits at r = 10, and
+# from r ~ 17.5 on the covariance entries turn into garbage, inf or NaN.
+MAX_BOUND_SQUEEZING = 10.0
 RATE_TIE_ATOL = 1e-12
-# Memory/runtime guard on the coarse tensor grid (25^4 is fine, 25^5 is not).
+# Memory guard on the combined grid: the kernel only sees per-mode tables of
+# at most grid_points^2 points, but the summed rate array and its argsort
+# hold every grid point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,6 +74,14 @@ class OptimizationProblem:
             raise ValueError("grid must have at least 2 points per axis")
         if self.g_max is not None and not self.g_min < self.g_max < math.inf:
             raise ValueError(f"invalid G bounds ({self.g_min}, {self.g_max})")
+        peak = self.effective_g_max * max(self.spectrum.lambdas)
+        if peak > MAX_BOUND_SQUEEZING:
+            raise ValueError(
+                f"g_max {self.effective_g_max} squeezes the leading supermode to r = {peak:.4g}, "
+                f"above the limit MAX_BOUND_SQUEEZING = {MAX_BOUND_SQUEEZING}, past which "
+                f"1 - tanh(r)^2 loses its precision; use g_max <= "
+                f"{MAX_BOUND_SQUEEZING / max(self.spectrum.lambdas):.6g}"
+            )
         if self.grid_points ** (1 + self.n_transmissivities) > MAX_GRID_SIZE:
             raise ValueError(
                 f"coarse grid of {self.grid_points}^{1 + self.n_transmissivities} points "
@@ -97,10 +118,11 @@ class _Objective:
         self.evaluations = 0
         self.trace: list[tuple[tuple[float, ...], float]] = []
 
-    def batch(self, gains: np.ndarray, transmissivities: np.ndarray) -> np.ndarray:
+    def batch(
+        self, gains: np.ndarray, transmissivities: np.ndarray | tuple[np.ndarray, ...]
+    ) -> np.ndarray:
         p = self.problem
-        self.evaluations += len(gains)
-        return total_rate_batch(
+        rates = total_rate_batch(
             p.spectrum.lambdas,
             p.op_kind,
             gains,
@@ -110,6 +132,8 @@ class _Objective:
             p.rate,
             clamp=p.clamp,
         )
+        self.evaluations += rates.size
+        return rates
 
     def point(self, params: np.ndarray) -> float:
         rate = float(
@@ -166,13 +190,12 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """
     objective = _Objective(problem)
     axes = _grid_axes(problem)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    gains = mesh[0].ravel()
-    if len(axes) > 1:
-        transmissivities = np.stack([m.ravel() for m in mesh[1:]], axis=-1)
-    else:
-        transmissivities = np.zeros((gains.size, 0))
-    rates = objective.batch(gains, transmissivities)
+    gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
+    rates = objective.batch(gains, tuple(transmissivities)).ravel()
+    grid_shape = tuple(len(axis) for axis in axes)
+
+    def grid_params(index: int) -> np.ndarray:
+        return np.array([axis[i] for axis, i in zip(axes, np.unravel_index(index, grid_shape))])
 
     best_rate = float(rates.max())
     # Lexicographically first point within the tie band (row-major ravel order).
@@ -186,11 +209,11 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
 
     lower = np.array([problem.g_min] + [problem.t_min] * problem.n_transmissivities)
     upper = np.array([problem.effective_g_max] + [problem.t_max] * problem.n_transmissivities)
-    best_params = np.concatenate(([gains[best_index]], transmissivities[best_index]))
+    best_params = grid_params(best_index)
     best_refined = float(rates[best_index])
 
     for start in starts:
-        params = np.concatenate(([gains[start]], transmissivities[start]))
+        params = grid_params(start)
         current = float(rates[start])
         # Bracket each coordinate by its neighboring grid values.
         brackets = []

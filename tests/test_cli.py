@@ -156,6 +156,16 @@ class TestOutputFormats:
         assert payload["refinement_trace"]
         assert set(payload["refinement_trace"][0]) == {"params", "rate"}
 
+    def test_saturating_gain_bound_is_named_error(self, capsys):
+        code, out, err = run_cli(
+            ["optimize", "--scenario", "exp", "--op", "none", "--g-max", "40",
+             "--loss-db", "30"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "g_max 40.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
+
     def test_byte_identical_runs(self, tmp_path):
         args = ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1",
                 "--loss-db", "0:10:5"]

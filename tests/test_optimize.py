@@ -109,3 +109,68 @@ class TestOptimize:
             _problem(op_kind=OpKind.PC0, k_sel=1, t_min=0.9, t_max=0.5)
         with pytest.raises(ValueError, match="coarse grid"):
             _problem(op_kind=OpKind.PC0, k_sel=5)
+        with pytest.raises(ValueError, match="g_max 40.0 .* MAX_BOUND_SQUEEZING"):
+            _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+@pytest.mark.parametrize("memory", [True, False])
+@pytest.mark.parametrize("clamp", [True, False])
+def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
+    problem = _problem(
+        spectrum=make_spectrum("exp", 5, 2.0),
+        op_kind=kind,
+        k_sel=2,
+        rate=RateParams(memory=memory),
+        clamp=clamp,
+        grid_points=6,
+    )
+    axes = _grid_axes(problem)
+    args = (problem.channel, problem.detector, problem.rate)
+    gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
+    open_mesh = total_rate_batch(
+        problem.spectrum.lambdas, kind, gains, tuple(transmissivities), *args, clamp=clamp
+    )
+    full = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    points = total_rate_batch(
+        problem.spectrum.lambdas,
+        kind,
+        full[0],
+        np.stack(full[1:], axis=-1) if len(full) > 1 else np.zeros((full[0].size, 0)),
+        *args,
+        clamp=clamp,
+    )
+    assert open_mesh.shape == tuple(len(axis) for axis in axes)
+    assert np.array_equal(open_mesh.ravel(), points)
+
+
+# Default-grid k_sel = 3 optima recorded before the grid moved to an open
+# mesh; the grid optimum, and with it the whole solve, must reproduce exactly.
+@pytest.mark.parametrize(
+    "kind, loss_db, memory, pinned",
+    [
+        (OpKind.PC1, 22.0, False, (
+            "0x1.23c77acda3eb6p-9", "0x1.e1db5945e224ap+0",
+            ("0x1.ff7ced916872bp-1",) * 3, 390873,
+        )),
+        (OpKind.PC0, 30.0, True, (
+            "0x1.7755b8c35aa34p-12", "0x1.912085ebba058p+1",
+            ("0x1.81e90c269066cp-1", "0x1.c793e988d234cp-1", "0x1.ff7ced916872bp-1"), 391034,
+        )),
+    ],
+)
+def test_k3_optimum_pinned(kind, loss_db, memory, pinned):
+    result = optimize(_problem(
+        spectrum=make_spectrum("exp", 5, 2.0),
+        op_kind=kind,
+        k_sel=3,
+        channel=ChannelParams.from_loss_db(loss_db),
+        rate=RateParams(memory=memory),
+    ))
+    observed = (
+        result.best_rate.hex(),
+        result.best_g.hex(),
+        tuple(t.hex() for t in result.best_t),
+        result.evaluations,
+    )
+    assert observed == pinned
