@@ -23,7 +23,7 @@ from .channel import (
 )
 from .keyrate import RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
-from .optimize import OptimizationProblem, optimize
+from .optimize import OptimizationProblem, check_bound_squeezing, optimize
 from .source import SourceParams, make_spectrum
 from .verification import run_all_checks
 
@@ -232,7 +232,9 @@ def cmd_point(settings: dict) -> list[SweepRecord]:
             raise UsageError("t: transmissivities given but op is none")
     elif len(t_values) != k_sel:
         raise UsageError(f"t: expected {k_sel} transmissivities for ksel={k_sel}, got {len(t_values)}")
-    source = SourceParams(gain=settings["gain"], spectrum=_spectrum(settings))
+    spectrum = _spectrum(settings)
+    check_bound_squeezing("gain", settings["gain"], spectrum)
+    source = SourceParams(gain=settings["gain"], spectrum=spectrum)
     specs = [NonGaussianOpSpec(op_kind, t) for t in t_values]
     outcomes = apply_to_supermodes(specs, source)
     result = total_rate(

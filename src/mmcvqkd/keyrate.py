@@ -7,8 +7,10 @@ information about Bob's homodyne outcomes. Totals either sum the R_k directly
 (heralding done ahead of time into a quantum memory) or carry the combined
 heralding probability as a prefactor (no memory).
 
-``subchannel_rates_batch`` / ``total_rate_batch`` are vectorized equivalents
-of the scalar path used by the optimizer; tests assert both paths agree.
+``subchannel_rates_batch`` / ``total_rate_batch`` are the vectorized path the
+optimizer evaluates; the scalar ``subchannel_rate`` / ``total_rate`` path on
+the dense pipeline gives the CLI's final record, and tests assert both paths
+agree.
 """
 
 from __future__ import annotations
@@ -232,8 +234,14 @@ def total_rate_batch(
       evaluated on the broadcast of ``gains`` with its own array only, and
       the per-mode terms broadcast to the full grid in the sum.
 
-    Supermodes are accumulated in ascending order in both layouts, so a total
-    is bit-identical whichever layout evaluated it.
+    Every supermode goes through the kernel in one stacked pass: each mode's
+    (xi^2, T_k) inputs are broadcast to that mode's own shape and flattened,
+    the operated and the untouched modes each take one ``heralded_entries``
+    call, and all of them share a single ``subchannel_rates_batch`` call. The
+    rates and probabilities are then split back into per-mode tables, which
+    still meet the full grid only in the sum. Supermodes are accumulated in
+    ascending order in both layouts, so a total is bit-identical whichever
+    layout evaluated it.
     """
     gains = np.asarray(gains, dtype=float)
     if isinstance(transmissivities, tuple):
@@ -244,18 +252,30 @@ def total_rate_batch(
             transmissivities = transmissivities[:, None]
         per_mode = list(transmissivities.T)
     k_sel = len(per_mode) if kind is not OpKind.NONE else 0
-    total, probability = 0.0, 1.0
+    shapes, xi_sq, t = [], [], []
     for k, lam in enumerate(lambdas):
-        xi_sq = np.tanh(gains * lam) ** 2
-        if k < k_sel:
-            a, b, c, p = heralded_entries(kind, xi_sq, per_mode[k])
-        else:
-            a, b, c, p = heralded_entries(OpKind.NONE, xi_sq, np.ones_like(gains))
-        rates_k, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
+        xi_sq_k, t_k = np.broadcast_arrays(
+            np.tanh(gains * lam) ** 2, per_mode[k] if k < k_sel else 1.0
+        )
+        shapes.append(xi_sq_k.shape)
+        xi_sq.append(xi_sq_k.ravel())
+        t.append(t_k.ravel())
+    groups = [
+        heralded_entries(group_kind, np.concatenate(xi_sq[modes]), np.concatenate(t[modes]))
+        for group_kind, modes in ((kind, slice(k_sel)), (OpKind.NONE, slice(k_sel, None)))
+        if xi_sq[modes]
+    ]
+    a, b, c, p = (np.concatenate(entries) for entries in zip(*groups))
+    rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
+    total, probability, start = 0.0, 1.0, 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        rates_k = rates[start:stop].reshape(shape)
         # Not `+=`: an in-place update cannot grow to the broadcast shape of an
         # open mesh, where the per-mode terms meet the full grid only here.
         total = total + (np.maximum(rates_k, 0.0) if clamp else rates_k)
-        probability = probability * p
+        probability = probability * p[start:stop].reshape(shape)
+        start = stop
     if not rate.memory:
         total = total * probability
     return total

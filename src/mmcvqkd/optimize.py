@@ -44,6 +44,18 @@ MAX_GRID_SIZE = 2_000_000
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -> None:
+    """Reject a gain that squeezes the leading supermode past MAX_BOUND_SQUEEZING."""
+    peak = gain * max(spectrum.lambdas)
+    if peak > MAX_BOUND_SQUEEZING:
+        raise ValueError(
+            f"{name} {gain} squeezes the leading supermode to r = {peak:.4g}, "
+            f"above the limit MAX_BOUND_SQUEEZING = {MAX_BOUND_SQUEEZING}, past which "
+            f"1 - tanh(r)^2 loses its precision; use {name} <= "
+            f"{MAX_BOUND_SQUEEZING / max(spectrum.lambdas):.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class OptimizationProblem:
     """Scenario, operation and bounds for one key-rate maximization."""
@@ -74,14 +86,7 @@ class OptimizationProblem:
             raise ValueError("grid must have at least 2 points per axis")
         if self.g_max is not None and not self.g_min < self.g_max < math.inf:
             raise ValueError(f"invalid G bounds ({self.g_min}, {self.g_max})")
-        peak = self.effective_g_max * max(self.spectrum.lambdas)
-        if peak > MAX_BOUND_SQUEEZING:
-            raise ValueError(
-                f"g_max {self.effective_g_max} squeezes the leading supermode to r = {peak:.4g}, "
-                f"above the limit MAX_BOUND_SQUEEZING = {MAX_BOUND_SQUEEZING}, past which "
-                f"1 - tanh(r)^2 loses its precision; use g_max <= "
-                f"{MAX_BOUND_SQUEEZING / max(self.spectrum.lambdas):.6g}"
-            )
+        check_bound_squeezing("g_max", self.effective_g_max, self.spectrum)
         if self.grid_points ** (1 + self.n_transmissivities) > MAX_GRID_SIZE:
             raise ValueError(
                 f"coarse grid of {self.grid_points}^{1 + self.n_transmissivities} points "

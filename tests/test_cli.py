@@ -166,6 +166,16 @@ class TestOutputFormats:
         assert out == ""
         assert "g_max 40.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
 
+    def test_saturating_point_gain_is_named_error(self, capsys):
+        code, out, err = run_cli(
+            ["point", "--scenario", "exp", "--op", "none", "--gain", "25", "--loss-db", "30"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "gain 25.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
+        assert "use gain <= 12.5352" in err
+
     def test_byte_identical_runs(self, tmp_path):
         args = ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1",
                 "--loss-db", "0:10:5"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mmcvqkd.channel import ChannelParams, DetectorParams
-from mmcvqkd.keyrate import RateParams, total_rate_batch
-from mmcvqkd.operations import OpKind
+from mmcvqkd.keyrate import RateParams, subchannel_rates_batch, total_rate_batch
+from mmcvqkd.operations import OpKind, heralded_entries
 from mmcvqkd.optimize import OptimizationProblem, optimize, _grid_axes
 from mmcvqkd.source import make_spectrum
 
@@ -113,35 +113,56 @@ class TestOptimize:
             _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
 
 
+def _per_mode_reference(problem, gains, transmissivities):
+    """Point-list totals mode by mode: one heralded_entries and one
+    subchannel_rates_batch call per supermode, summed in ascending order."""
+    k_sel = problem.n_transmissivities
+    args = (problem.channel, problem.detector, problem.rate)
+    total, probability = 0.0, 1.0
+    for k, lam in enumerate(problem.spectrum.lambdas):
+        xi_sq = np.tanh(gains * lam) ** 2
+        if k < k_sel:
+            a, b, c, p = heralded_entries(problem.op_kind, xi_sq, transmissivities[:, k])
+        else:
+            a, b, c, p = heralded_entries(OpKind.NONE, xi_sq, np.ones_like(gains))
+        rates_k, _, _ = subchannel_rates_batch(a, b, c, *args)
+        total = total + (np.maximum(rates_k, 0.0) if problem.clamp else rates_k)
+        probability = probability * p
+    if not problem.rate.memory:
+        total = total * probability
+    return total
+
+
 @pytest.mark.parametrize("kind", list(OpKind))
 @pytest.mark.parametrize("memory", [True, False])
 @pytest.mark.parametrize("clamp", [True, False])
 def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
-    problem = _problem(
-        spectrum=make_spectrum("exp", 5, 2.0),
-        op_kind=kind,
-        k_sel=2,
-        rate=RateParams(memory=memory),
-        clamp=clamp,
-        grid_points=6,
-    )
-    axes = _grid_axes(problem)
-    args = (problem.channel, problem.detector, problem.rate)
-    gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
-    open_mesh = total_rate_batch(
-        problem.spectrum.lambdas, kind, gains, tuple(transmissivities), *args, clamp=clamp
-    )
-    full = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-    points = total_rate_batch(
-        problem.spectrum.lambdas,
-        kind,
-        full[0],
-        np.stack(full[1:], axis=-1) if len(full) > 1 else np.zeros((full[0].size, 0)),
-        *args,
-        clamp=clamp,
-    )
-    assert open_mesh.shape == tuple(len(axis) for axis in axes)
-    assert np.array_equal(open_mesh.ravel(), points)
+    # k_sel = 5 = k_max leaves no untouched supermode; OpKind.NONE no operated
+    # one. A 4-point grid keeps the k_sel = 5 full mesh at 4^6 points.
+    for k_sel, grid_points in ((1, 6), (2, 6), (5, 4)):
+        problem = _problem(
+            spectrum=make_spectrum("exp", 5, 2.0),
+            op_kind=kind,
+            k_sel=k_sel,
+            rate=RateParams(memory=memory),
+            clamp=clamp,
+            grid_points=grid_points,
+        )
+        axes = _grid_axes(problem)
+        args = (problem.channel, problem.detector, problem.rate)
+        gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
+        open_mesh = total_rate_batch(
+            problem.spectrum.lambdas, kind, gains, tuple(transmissivities), *args, clamp=clamp
+        )
+        full = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+        full_t = np.stack(full[1:], axis=-1) if len(full) > 1 else np.zeros((full[0].size, 0))
+        points = total_rate_batch(
+            problem.spectrum.lambdas, kind, full[0], full_t, *args, clamp=clamp
+        )
+        reference = _per_mode_reference(problem, full[0], full_t)
+        assert open_mesh.shape == tuple(len(axis) for axis in axes), k_sel
+        assert np.array_equal(open_mesh.ravel(), reference), k_sel
+        assert np.array_equal(points, reference), k_sel
 
 
 # Default-grid k_sel = 3 optima recorded before the grid moved to an open
