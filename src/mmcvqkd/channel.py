@@ -38,13 +38,13 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta_e <= 1.0:
             raise ValueError(f"channel transmissivity must be in (0, 1], got {self.eta_e}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"excess noise must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"excess noise must be finite and >= 0, got {self.epsilon}")
 
     @classmethod
     def from_loss_db(cls, loss_db: float, epsilon: float = DEFAULT_EXCESS_NOISE) -> "ChannelParams":
-        if loss_db < 0.0:
-            raise ValueError(f"loss must be >= 0 dB, got {loss_db}")
+        if not 0.0 <= loss_db < math.inf:
+            raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
         return cls(eta_e=10.0 ** (-loss_db / 10.0), epsilon=epsilon)
 
     @property
@@ -65,8 +65,8 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"detection efficiency must be in (0, 1], got {self.eta_d}")
-        if self.nu < 1.0:
-            raise ValueError(f"thermal noise variance must be >= 1, got {self.nu}")
+        if not 1.0 <= self.nu < math.inf:
+            raise ValueError(f"thermal noise variance must be finite and >= 1, got {self.nu}")
 
 
 @dataclass(frozen=True)

@@ -117,13 +117,45 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(text: str, name: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"cannot parse boolean value {text!r}")
+    raise UsageError(f"{name}: cannot parse boolean value {text!r}")
+
+
+def _from_env(key: str, text: str) -> object:
+    """Parse an environment value with the field's parser, naming the variable on failure."""
+    name = ENV_PREFIX + key.upper()
+    parser = _PARSERS[key]
+    if parser is None:
+        return _parse_bool(text, name)
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise UsageError(f"{name}: cannot parse {text!r} as {parser.__name__}") from exc
+
+
+# JSON types a config file may use for each parser: no coercion, so a quoted
+# number or a truthy string fails by name instead of being misread.
+_CONFIG_TYPES = {
+    bool: ("boolean", (bool,)),
+    int: ("integer", (int,)),
+    float: ("number", (int, float)),
+    str: ("string", (str,)),
+}
+
+
+def _from_config(key: str, value: object) -> object:
+    """Type-check a config-file value against the field's parser."""
+    parser = _PARSERS[key] or bool
+    type_name, accepted = _CONFIG_TYPES[parser]
+    # bool is a subclass of int: true must not pass for a number, nor 1 for a boolean.
+    if isinstance(value, bool) != (parser is bool) or not isinstance(value, accepted):
+        raise UsageError(f"config: {key} must be a JSON {type_name}, got {json.dumps(value)}")
+    return parser(value)
 
 
 def build_settings(args: argparse.Namespace) -> dict:
@@ -136,16 +168,16 @@ def build_settings(args: argparse.Namespace) -> dict:
                 loaded = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"config: cannot read {config_path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config: {config_path} must hold a JSON object")
         for key, value in loaded.items():
             if key not in settings:
                 raise UsageError(f"config: unknown field {key!r}")
-            settings[key] = value
+            settings[key] = _from_config(key, value)
     for key in settings:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
-        if env_value is None:
-            continue
-        parser = _PARSERS[key]
-        settings[key] = _parse_bool(env_value) if parser is None else parser(env_value)
+        if env_value is not None:
+            settings[key] = _from_env(key, env_value)
     for key in settings:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -163,6 +195,8 @@ def _parse_loss_values(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"loss-db: {exc}") from exc
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise UsageError(f"loss-db: range bounds and step must be finite, got {text!r}")
         if step <= 0.0:
             raise UsageError(f"loss-db: step must be positive, got {step}")
         if stop < start:
@@ -190,6 +224,11 @@ def _validated(settings: dict) -> dict:
         raise UsageError(f"format: must be csv or json, got {settings['format']!r}")
     if settings["workers"] < 1:
         raise UsageError(f"workers: must be >= 1, got {settings['workers']}")
+    for key, parser in _PARSERS.items():
+        if parser is float and not math.isfinite(settings[key]):
+            raise UsageError(f"{key}: must be finite, got {settings[key]}")
+    if settings["attenuation"] <= 0.0:
+        raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
     return settings
 
 

@@ -152,21 +152,29 @@ def subchannel_rates_batch(
     Same physics as the scalar path: closed-form two-mode symplectic
     eigenvalues for the channel output, and the conditional (A, C, D) CM
     split into decoupled x/p 3x3 blocks whose product yields the squared
-    symplectic eigenvalues.
+    symplectic eigenvalues. The blocks are filled entry by entry (the
+    detector's constant entries are Python floats), and all five symplectic
+    eigenvalues go through one entropy pass. A call therefore makes the same
+    number of array operations whatever the batch shape, and refinement's
+    one-point evaluations pay little beyond the batched ``eigvals``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     eta_e, eps = ch.eta_e, ch.epsilon
     eta_d, nu = det.eta_d, det.nu
+    shape = np.broadcast(a, b, c).shape
 
-    c_prime = np.sqrt(eta_e) * c
+    c_prime = math.sqrt(eta_e) * c
     b_prime = eta_e * (b + eps) + (1.0 - eta_e)
     b_dprime = eta_d * b_prime + (1.0 - eta_d) * nu
 
     noise = eta_d * ((1.0 - eta_e) + eta_e * eps) + (1.0 - eta_d) * nu
     info = -0.5 * np.log2(1.0 - eta_d * eta_e * c**2 / (eta_d * eta_e * a * b + noise * a))
 
+    # Symplectic eigenvalues: the channel-output pair in slots 0-1, the three
+    # conditional ones in slots 2-4.
+    nus = np.empty(shape + (5,))
     # channel-output symplectic pair (factored radicand: exact when a = b')
     sub_det = a * b_prime - c_prime**2
     delta = a**2 + b_prime**2 - 2.0 * c_prime**2
@@ -174,39 +182,30 @@ def subchannel_rates_batch(
     radicand = np.maximum(
         (a - b_prime) ** 2 * (total - 2.0 * c_prime) * (total + 2.0 * c_prime), 0.0
     )
-    nu_plus = np.sqrt((delta + np.sqrt(radicand)) / 2.0)
-    nu_minus = np.abs(sub_det) / nu_plus
-    s_channel = _entropy_g_clamped(nu_plus) + _entropy_g_clamped(nu_minus)
+    nus[..., 0] = nu_plus = np.sqrt((delta + np.sqrt(radicand)) / 2.0)
+    nus[..., 1] = np.abs(sub_det) / nu_plus
 
     # conditional (A, C, D) CM: blocks are m*I + n*Z minus the homodyne update,
     # which only touches the x sector, so x and p decouple into 3x3 blocks.
-    c_var = eta_d * nu + (1.0 - eta_d) * b_prime
-    ac = -np.sqrt(1.0 - eta_d) * c_prime
-    cd = np.sqrt(eta_d * (nu**2 - 1.0)) * np.ones_like(b_prime)
-    gamma = np.stack(
-        np.broadcast_arrays(
-            np.sqrt(eta_d) * c_prime,
-            np.sqrt((1.0 - eta_d) * eta_d) * (nu - b_prime),
-            np.sqrt((1.0 - eta_d) * (nu**2 - 1.0)) * np.ones_like(b_prime),
-        ),
-        axis=-1,
-    )
-    shape = np.broadcast(a, b_prime).shape
+    gamma = np.empty(shape + (3,))
+    gamma[..., 0] = math.sqrt(eta_d) * c_prime
+    gamma[..., 1] = math.sqrt((1.0 - eta_d) * eta_d) * (nu - b_prime)
+    gamma[..., 2] = math.sqrt((1.0 - eta_d) * (nu**2 - 1.0))
     m_block = np.zeros(shape + (3, 3))
     n_block = np.zeros(shape + (3, 3))
     m_block[..., 0, 0] = a
-    m_block[..., 1, 1] = c_var
+    m_block[..., 1, 1] = eta_d * nu + (1.0 - eta_d) * b_prime
     m_block[..., 2, 2] = nu
-    n_block[..., 0, 1] = n_block[..., 1, 0] = ac
-    n_block[..., 1, 2] = n_block[..., 2, 1] = cd
+    n_block[..., 0, 1] = n_block[..., 1, 0] = -math.sqrt(1.0 - eta_d) * c_prime
+    n_block[..., 1, 2] = n_block[..., 2, 1] = math.sqrt(eta_d * (nu**2 - 1.0))
     update = gamma[..., :, None] * gamma[..., None, :] / b_dprime[..., None, None]
     sigma_x = m_block + n_block - update
     sigma_p = m_block - n_block
     alphas_sq = np.linalg.eigvals(sigma_x @ sigma_p)
-    alphas = np.sqrt(np.maximum(alphas_sq.real, 1.0))
-    s_conditional = _entropy_g_clamped(alphas).sum(axis=-1)
+    nus[..., 2:] = np.sqrt(np.maximum(alphas_sq.real, 1.0))
 
-    chi = s_channel - s_conditional
+    entropies = _entropy_g_clamped(nus)
+    chi = (entropies[..., 0] + entropies[..., 1]) - entropies[..., 2:].sum(axis=-1)
     chi = np.where((chi > -CHI_CLAMP_TOL) & (chi < 0.0), 0.0, chi)
     return rate.eta_r * info - chi, info, chi
 
@@ -234,48 +233,67 @@ def total_rate_batch(
       evaluated on the broadcast of ``gains`` with its own array only, and
       the per-mode terms broadcast to the full grid in the sum.
 
-    Every supermode goes through the kernel in one stacked pass: each mode's
-    (xi^2, T_k) inputs are broadcast to that mode's own shape and flattened,
-    the operated and the untouched modes each take one ``heralded_entries``
-    call, and all of them share a single ``subchannel_rates_batch`` call. The
-    rates and probabilities are then split back into per-mode tables, which
-    still meet the full grid only in the sum. Supermodes are accumulated in
-    ascending order in both layouts, so a total is bit-identical whichever
-    layout evaluated it.
+    Only the staging of the inputs depends on the layout. ``tanh(G*lambda)^2``
+    of every supermode comes from one outer product, with the supermode on
+    the leading axis. The point list keeps that (k_max, n) stack as it is and
+    passes the operated rows with the transposed transmissivities, a view.
+    The open mesh broadcasts each supermode to its own shape and flattens it,
+    once per solve. Then the operated and the untouched supermodes take one
+    ``heralded_entries`` call each, and all of them share one
+    ``subchannel_rates_batch`` call, so a one-point evaluation makes the same
+    few array calls whatever k_max is.
+
+    The per-mode rate tables are then accumulated with an explicit loop in
+    ascending supermode order, never with ``np.sum`` over the mode axis,
+    whose pairwise summation associates differently. A total is therefore
+    bit-identical whichever layout, batch size or split into calls produced
+    it, which is what the grid and the refinement rely on.
     """
     gains = np.asarray(gains, dtype=float)
+    xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
     if isinstance(transmissivities, tuple):
-        per_mode = [np.asarray(t, dtype=float) for t in transmissivities]
+        k_sel = len(transmissivities) if kind is not OpKind.NONE else 0
+        shapes, flat_xi_sq, flat_t = [], [], []
+        for k, xi_sq_k in enumerate(xi_sq):
+            if k < k_sel:
+                xi_sq_k, t_k = np.broadcast_arrays(
+                    xi_sq_k, np.asarray(transmissivities[k], dtype=float)
+                )
+                flat_t.append(t_k.ravel())
+            shapes.append(xi_sq_k.shape)
+            flat_xi_sq.append(xi_sq_k.ravel())
+        split = sum(t_k.size for t_k in flat_t)
+        t_operated = np.concatenate(flat_t) if flat_t else None
+        xi_sq = np.concatenate(flat_xi_sq)
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+
+        def per_mode(values):
+            return [values[i:j].reshape(s) for i, j, s in zip(bounds, bounds[1:], shapes)]
     else:
-        transmissivities = np.asarray(transmissivities, dtype=float)
-        if transmissivities.ndim == 1:
-            transmissivities = transmissivities[:, None]
-        per_mode = list(transmissivities.T)
-    k_sel = len(per_mode) if kind is not OpKind.NONE else 0
-    shapes, xi_sq, t = [], [], []
-    for k, lam in enumerate(lambdas):
-        xi_sq_k, t_k = np.broadcast_arrays(
-            np.tanh(gains * lam) ** 2, per_mode[k] if k < k_sel else 1.0
-        )
-        shapes.append(xi_sq_k.shape)
-        xi_sq.append(xi_sq_k.ravel())
-        t.append(t_k.ravel())
-    groups = [
-        heralded_entries(group_kind, np.concatenate(xi_sq[modes]), np.concatenate(t[modes]))
-        for group_kind, modes in ((kind, slice(k_sel)), (OpKind.NONE, slice(k_sel, None)))
-        if xi_sq[modes]
-    ]
-    a, b, c, p = (np.concatenate(entries) for entries in zip(*groups))
+        t = np.asarray(transmissivities, dtype=float)
+        if t.ndim == 1:
+            t = t[:, None]
+        split = t.shape[1] if kind is not OpKind.NONE else 0
+        t_operated = t.T
+
+        def per_mode(values):
+            return values
+    groups = [(kind, xi_sq[:split], t_operated), (OpKind.NONE, xi_sq[split:], 1.0)]
+    a, b, c, p = (
+        np.concatenate(entries)
+        for entries in zip(*(heralded_entries(*group) for group in groups if len(group[1])))
+    )
     rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
-    total, probability, start = 0.0, 1.0, 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        rates_k = rates[start:stop].reshape(shape)
+    if clamp:
+        rates = np.maximum(rates, 0.0)
+    total = 0.0
+    for rates_k in per_mode(rates):
         # Not `+=`: an in-place update cannot grow to the broadcast shape of an
         # open mesh, where the per-mode terms meet the full grid only here.
-        total = total + (np.maximum(rates_k, 0.0) if clamp else rates_k)
-        probability = probability * p[start:stop].reshape(shape)
-        start = stop
+        total = total + rates_k
     if not rate.memory:
+        probability = 1.0
+        for p_k in per_mode(p):
+            probability = probability * p_k
         total = total * probability
     return total

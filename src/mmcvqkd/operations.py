@@ -83,56 +83,61 @@ def heralded_entries(kind: OpKind, xi_sq, t):
     ``a`` is the variance of the retained (Alice) mode, ``b`` of the operated
     (transmitted) mode, ``c`` their correlation and ``p`` the heralding
     probability. Inputs must satisfy 0 <= xi_sq < 1 and 0 < t <= 1, which
-    guarantees u = xi_sq * t < 1.
+    guarantees u = xi_sq * t < 1. Repeated factors (1 - u, t^2, xi^4) are
+    formed once per call; only NONE, whose probability is 1, builds an
+    array of ones.
     """
     kind = OpKind(kind)
     xi_sq = np.asarray(xi_sq, dtype=float)
     t = np.asarray(t, dtype=float)
-    u = xi_sq * t
-    one = np.ones(np.broadcast(xi_sq, t).shape)
     if kind is OpKind.NONE:
         a = (1.0 + xi_sq) / (1.0 - xi_sq)
         c = 2.0 * np.sqrt(xi_sq) / (1.0 - xi_sq)
-        return a, a, c, one
+        return a, a, c, np.ones(np.broadcast(xi_sq, t).shape)
+    u = xi_sq * t
+    one_minus_u = 1.0 - u
     if kind is OpKind.PC0:
         # Noiseless: the output is again a pure EPR state with xi' = xi*sqrt(t).
-        a = (1.0 + u) / (1.0 - u)
-        c = 2.0 * np.sqrt(u) / (1.0 - u)
-        p = (1.0 - xi_sq) / (1.0 - u)
+        a = (1.0 + u) / one_minus_u
+        c = 2.0 * np.sqrt(u) / one_minus_u
+        p = (1.0 - xi_sq) / one_minus_u
         return a, a, c, p
     if kind is OpKind.PS1:
-        a = (3.0 + u) / (1.0 - u)
-        b = (1.0 + 3.0 * u) / (1.0 - u)
-        c = 4.0 * np.sqrt(u) / (1.0 - u)
-        p = xi_sq * (1.0 - xi_sq) * (1.0 - t) / (1.0 - u) ** 2
+        a = (3.0 + u) / one_minus_u
+        b = (1.0 + 3.0 * u) / one_minus_u
+        c = 4.0 * np.sqrt(u) / one_minus_u
+        p = xi_sq * (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
         return a, b, c, p
     if kind is OpKind.PA1:
         # Mirror image of 1-PS with the mode roles swapped; the heralding
         # probability is larger by 1/xi^2 (adding needs no photon present).
-        a = (1.0 + 3.0 * u) / (1.0 - u)
-        b = (3.0 + u) / (1.0 - u)
-        c = 4.0 * np.sqrt(u) / (1.0 - u)
-        p = (1.0 - xi_sq) * (1.0 - t) / (1.0 - u) ** 2
+        a = (1.0 + 3.0 * u) / one_minus_u
+        b = (3.0 + u) / one_minus_u
+        c = 4.0 * np.sqrt(u) / one_minus_u
+        p = (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
         return a, b, c, p
     # 1-PC. Shared denominator (1 - u) * (t + xi^2 (1 - 4t + t^2) + xi^4 t).
-    den = (1.0 - u) * (t + xi_sq * (1.0 - 4.0 * t + t**2) + xi_sq**2 * t)
+    t_sq = t**2
+    xi_4 = xi_sq**2
+    xi_6 = xi_sq**3
+    den = one_minus_u * (t + xi_sq * (1.0 - 4.0 * t + t_sq) + xi_4 * t)
     a = (
         t
-        - xi_sq * (-3.0 + 12.0 * t - 8.0 * t**2)
-        - xi_sq**2 * t * (-8.0 + 12.0 * t - 3.0 * t**2)
-        + xi_sq**3 * t**2
+        - xi_sq * (-3.0 + 12.0 * t - 8.0 * t_sq)
+        - xi_4 * t * (-8.0 + 12.0 * t - 3.0 * t_sq)
+        + xi_6 * t_sq
     ) / den
     c = (
         2.0
         * np.sqrt(t * xi_sq)
-        * (1.0 - 2.0 * t - 2.0 * xi_sq * (2.0 - 5.0 * t + 2.0 * t**2) + xi_sq**2 * t * (-2.0 + t))
+        * (1.0 - 2.0 * t - 2.0 * xi_sq * (2.0 - 5.0 * t + 2.0 * t_sq) + xi_4 * t * (-2.0 + t))
     ) / -den
     p = (
         -t
-        + xi_sq * (-1.0 + 5.0 * t - t**2)
-        + xi_sq**2 * (1.0 - 5.0 * t + t**2)
-        + xi_sq**3 * t
-    ) / -((1.0 - u) ** 3)
+        + xi_sq * (-1.0 + 5.0 * t - t_sq)
+        + xi_4 * (1.0 - 5.0 * t + t_sq)
+        + xi_6 * t
+    ) / -(one_minus_u**3)
     return a, a, c, p
 
 

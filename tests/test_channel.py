@@ -60,6 +60,14 @@ class TestChannelEvolve:
             DetectorParams(eta_d=1.2)
         with pytest.raises(ValueError):
             DetectorParams(nu=0.9)
+        # NaN compares false both ways; the checks must still reject it.
+        with pytest.raises(ValueError, match="excess noise"):
+            ChannelParams(eta_e=0.5, epsilon=float("nan"))
+        with pytest.raises(ValueError, match="thermal noise"):
+            DetectorParams(nu=float("nan"))
+        for loss_db in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="loss"):
+                ChannelParams.from_loss_db(loss_db)
 
 
 class TestDetectorAssemble:

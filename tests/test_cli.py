@@ -231,6 +231,34 @@ class TestConfigPrecedence:
         assert code == 2
         assert "unknown field" in err
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [({"memory": "no"}, "memory must be a JSON boolean"),
+         ({"ksel": "2"}, "ksel must be a JSON integer")],
+    )
+    def test_mistyped_config_value_is_usage_error(self, capsys, tmp_path, config, field):
+        # A truthy string must not switch memory on, nor a quoted number crash.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["point", "--scenario", "exp", "--op", "none", "--gain", "1.0",
+             "--loss-db", "0", "--config", str(path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert field in err and "Traceback" not in err
+
+    def test_unparsable_env_value_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("MMCVQKD_KSEL", "abc")
+        code, out, err = run_cli(
+            ["point", "--scenario", "single", "--op", "none", "--gain", "1.0", "--loss-db", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "MMCVQKD_KSEL" in err and "'abc'" in err
+
     def test_bad_loss_range_is_usage_error(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--scenario", "single", "--op", "none", "--loss-db", "10:0:5"],
@@ -238,6 +266,25 @@ class TestConfigPrecedence:
         )
         assert code == 2
         assert "loss-db" in err
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [("point", ["--attenuation", "0"], "attenuation"),
+         ("sweep", ["--loss-db", "0:inf:1"], "loss-db"),
+         ("point", ["--eps", "nan"], "eps"),
+         ("point", ["--nu", "nan"], "nu")],
+        ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan"],
+    )
+    def test_degenerate_value_is_named_usage_error(self, capsys, command, flags, field):
+        args = [command, "--scenario", "single", "--op", "none"]
+        if command == "point":
+            args += ["--gain", "1.0", "--loss-db", "10"]
+        code, out, err = run_cli(args + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}:")
 
 
 class TestVerify:

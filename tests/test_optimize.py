@@ -137,8 +137,10 @@ def _per_mode_reference(problem, gains, transmissivities):
 @pytest.mark.parametrize("memory", [True, False])
 @pytest.mark.parametrize("clamp", [True, False])
 def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
-    # k_sel = 5 = k_max leaves no untouched supermode; OpKind.NONE no operated
-    # one. A 4-point grid keeps the k_sel = 5 full mesh at 4^6 points.
+    # Both layouts (the open mesh, and point lists of n = 1 and n > 1) against
+    # the per-mode reference. k_sel = 5 = k_max leaves no untouched supermode;
+    # OpKind.NONE no operated one. A 4-point grid keeps the k_sel = 5 full mesh
+    # at 4^6 points.
     for k_sel, grid_points in ((1, 6), (2, 6), (5, 4)):
         problem = _problem(
             spectrum=make_spectrum("exp", 5, 2.0),
@@ -163,6 +165,22 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
         assert open_mesh.shape == tuple(len(axis) for axis in axes), k_sel
         assert np.array_equal(open_mesh.ravel(), reference), k_sel
         assert np.array_equal(points, reference), k_sel
+        # Refinement evaluates one point per call and the grid many per call:
+        # a sample of n points must give the same bits either way.
+        sample = np.linspace(0, full[0].size - 1, 25).astype(int)
+        batch = total_rate_batch(
+            problem.spectrum.lambdas, kind, full[0][sample], full_t[sample], *args, clamp=clamp
+        )
+        singles = [
+            total_rate_batch(
+                problem.spectrum.lambdas, kind, full[0][i : i + 1], full_t[i : i + 1], *args,
+                clamp=clamp,
+            )
+            for i in sample
+        ]
+        assert all(single.shape == (1,) for single in singles), k_sel
+        assert np.array_equal(batch, reference[sample]), k_sel
+        assert np.array_equal(np.concatenate(singles), reference[sample]), k_sel
 
 
 # Default-grid k_sel = 3 optima recorded before the grid moved to an open
