@@ -244,10 +244,11 @@ def total_rate_batch(
     few array calls whatever k_max is.
 
     The per-mode rate tables are then accumulated with an explicit loop in
-    ascending supermode order, never with ``np.sum`` over the mode axis,
-    whose pairwise summation associates differently. A total is therefore
-    bit-identical whichever layout, batch size or split into calls produced
-    it, which is what the grid and the refinement rely on.
+    ascending supermode order, not with ``np.sum`` over the mode axis, whose
+    association numpy chooses by memory layout (pairwise along a contiguous
+    axis). A total is therefore bit-identical whichever layout, batch size or
+    split into calls produced it, which is what the grid and the refinement
+    rely on.
     """
     gains = np.asarray(gains, dtype=float)
     xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2

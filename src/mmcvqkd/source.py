@@ -48,7 +48,7 @@ class SupermodeSpectrum:
             raise ValueError("Schmidt coefficients must be nonnegative")
         if np.any(np.diff(lam) > 0.0):
             raise ValueError("Schmidt coefficients must be non-increasing")
-        if abs(float((lam**2).sum()) - 1.0) > NORMALIZATION_ATOL:
+        if not abs(float((lam**2).sum()) - 1.0) <= NORMALIZATION_ATOL:  # NaN fails too
             raise ValueError("Schmidt coefficients must satisfy sum(lambda^2) = 1")
         object.__setattr__(self, "lambdas", tuple(float(v) for v in lam))
 
@@ -90,7 +90,7 @@ def make_spectrum(
     elif scenario is Scenario.UNIFORM:
         lam = np.full(k_max, 1.0 / math.sqrt(k_max))
     elif scenario is Scenario.EXP_DECAY:
-        if decay <= 0.0:
+        if not decay > 0.0:
             raise ValueError(f"decay constant must be positive, got {decay}")
         lam = np.exp(-np.arange(k_max) / decay)
         lam = lam / math.sqrt(float((lam**2).sum()))

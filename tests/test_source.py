@@ -45,6 +45,10 @@ class TestMakeSpectrum:
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             SupermodeSpectrum((0.9, 0.1))
+        with pytest.raises(ValueError, match="lambda"):
+            SupermodeSpectrum((float("nan"), 0.1))
+        with pytest.raises(ValueError, match="decay"):
+            make_spectrum("exp", 5, float("nan"))
 
     def test_increasing_coefficients_rejected(self):
         with pytest.raises(ValueError, match="non-increasing"):
