@@ -23,7 +23,6 @@ from .keyrate import (
     RateParams,
     holevo_bound,
     mutual_information,
-    mutual_information_closed_form,
     subchannel_rate,
     subchannel_rates_batch,
     total_rate,
@@ -81,7 +80,6 @@ __all__ = [
     "homodyne_condition",
     "make_spectrum",
     "mutual_information",
-    "mutual_information_closed_form",
     "optimize",
     "squeezing_db",
     "subchannel_rate",

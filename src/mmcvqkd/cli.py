@@ -1,5 +1,10 @@
 """Command-line front end: single evaluations, loss sweeps, optimization, verification.
 
+``SETTINGS`` declares each setting once: the defaults, the environment and
+config parsers, the subcommand flags and the choice and finiteness checks
+derive from it. ``SweepRecord`` declares each output field once: the CSV
+header, writer and parser and the JSON writer follow its fields in order.
+
 Configuration precedence: CLI flags > MMCVQKD_* environment variables >
 --config JSON file > built-in defaults. Numeric output uses 17 significant
 digits so files round-trip bit-exactly; identical configuration yields
@@ -14,7 +19,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .channel import (
     DEFAULT_ATTENUATION_DB_PER_KM,
@@ -28,68 +34,47 @@ from .source import SourceParams, make_spectrum
 from .verification import run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
+# A loss range may expand to at most this many points. A range beyond it is a
+# mistyped step, and building its list would exhaust memory before any output.
+MAX_LOSS_POINTS = 100_000
 
-DEFAULTS = {
-    "scenario": "single",
-    "decay": 2.0,
-    "kmax": 5,
-    "ksel": 1,
-    "op": "none",
-    "memory": True,
-    "clamp": True,
-    "loss_db": "10",
-    "eps": 0.1,
-    "nu": 1.1,
-    "eta_d": 0.68,
-    "eta_r": 0.95,
-    "gain": 1.0,
-    "t": "",
-    "out": "",
-    "format": "csv",
-    "workers": 1,
-    "attenuation": DEFAULT_ATTENUATION_DB_PER_KM,
-    "grid_points": 25,
-    "g_max": 0.0,  # 0 means "use the scenario default"
+_RUN_COMMANDS = ("point", "sweep", "optimize")
+
+
+class Setting(NamedTuple):
+    """One setting: flag ``--key`` (underscores as dashes), variable MMCVQKD_KEY, config key."""
+
+    type: type
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    commands: tuple[str, ...] = _RUN_COMMANDS
+
+
+SETTINGS = {
+    "scenario": Setting(str, "single", choices=("single", "exp", "uniform")),
+    "decay": Setting(float, 2.0, "exp-scenario decay constant"),
+    "kmax": Setting(int, 5, "number of supermodes"),
+    "ksel": Setting(int, 1, "supermodes receiving the operation"),
+    "op": Setting(str, "none", choices=tuple(kind.value for kind in OpKind)),
+    "memory": Setting(
+        bool, True, "heralding into a quantum memory (success probability not charged)"
+    ),
+    "clamp": Setting(bool, True, "discard loss-making supermodes in the total"),
+    "loss_db": Setting(str, "10", "channel loss in dB: single value or A:B:STEP"),
+    "eps": Setting(float, 0.1, "excess noise (input-referred)"),
+    "nu": Setting(float, 1.1, "detector thermal noise variance"),
+    "eta_d": Setting(float, 0.68, "detection efficiency"),
+    "eta_r": Setting(float, 0.95, "reconciliation efficiency"),
+    "attenuation": Setting(float, DEFAULT_ATTENUATION_DB_PER_KM, "fiber attenuation dB/km"),
+    "out": Setting(str, "", "output path (default stdout)"),
+    "format": Setting(str, "csv", choices=("csv", "json")),
+    "workers": Setting(int, 1, "parallel sweep workers"),
+    "grid_points": Setting(int, 25, "coarse grid points per optimization axis"),
+    "g_max": Setting(float, 0.0, "gain upper bound"),  # 0 means "use the scenario default"
+    "gain": Setting(float, 1.0, "PDC gain G (fixed)", commands=("point",)),
+    "t": Setting(str, "", "comma-separated transmissivities, one per ksel", commands=("point",)),
 }
-
-_PARSERS = {
-    "scenario": str,
-    "decay": float,
-    "kmax": int,
-    "ksel": int,
-    "op": str,
-    "memory": None,  # bool, special-cased
-    "clamp": None,
-    "loss_db": str,
-    "eps": float,
-    "nu": float,
-    "eta_d": float,
-    "eta_r": float,
-    "gain": float,
-    "t": str,
-    "out": str,
-    "format": str,
-    "workers": int,
-    "attenuation": float,
-    "grid_points": int,
-    "g_max": float,
-}
-
-RECORD_FIELDS = (
-    "loss_db",
-    "eta_e",
-    "distance_km",
-    "scenario",
-    "op",
-    "k_sel",
-    "memory",
-    "best_G",
-    "best_T",
-    "total_rate",
-    "per_mode_rates",
-    "per_mode_probs",
-    "evaluations",
-)
 
 
 class UsageError(Exception):
@@ -98,6 +83,8 @@ class UsageError(Exception):
 
 @dataclass
 class SweepRecord:
+    """One output record; its fields, in order, are the CSV columns and the JSON keys."""
+
     loss_db: float
     eta_e: float
     distance_km: float
@@ -117,6 +104,21 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+# (write, read) of a CSV cell for each SweepRecord field annotation; the
+# tuple-valued fields are ';'-joined.
+_CSV_CODECS = {
+    "float": (_fmt, float),
+    "int": (str, int),
+    "str": (str, str),
+    "bool": (lambda value: "true" if value else "false", lambda text: text == "true"),
+    "tuple[float, ...]": (
+        lambda values: ";".join(_fmt(v) for v in values),
+        lambda text: tuple(float(v) for v in text.split(";") if v),
+    ),
+}
+_CSV_COLUMNS = [(field.name, *_CSV_CODECS[field.type]) for field in fields(SweepRecord)]
+
+
 def _parse_bool(text: str, name: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -129,8 +131,8 @@ def _parse_bool(text: str, name: str) -> bool:
 def _from_env(key: str, text: str) -> object:
     """Parse an environment value with the field's parser, naming the variable on failure."""
     name = ENV_PREFIX + key.upper()
-    parser = _PARSERS[key]
-    if parser is None:
+    parser = SETTINGS[key].type
+    if parser is bool:
         return _parse_bool(text, name)
     try:
         return parser(text)
@@ -150,7 +152,7 @@ _CONFIG_TYPES = {
 
 def _from_config(key: str, value: object) -> object:
     """Type-check a config-file value against the field's parser."""
-    parser = _PARSERS[key] or bool
+    parser = SETTINGS[key].type
     type_name, accepted = _CONFIG_TYPES[parser]
     # bool is a subclass of int: true must not pass for a number, nor 1 for a boolean.
     if isinstance(value, bool) != (parser is bool) or not isinstance(value, accepted):
@@ -160,7 +162,7 @@ def _from_config(key: str, value: object) -> object:
 
 def build_settings(args: argparse.Namespace) -> dict:
     """Layer defaults, config file, environment and explicit flags."""
-    settings = dict(DEFAULTS)
+    settings = {key: setting.default for key, setting in SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -201,7 +203,11 @@ def _parse_loss_values(text: str) -> list[float]:
             raise UsageError(f"loss-db: step must be positive, got {step}")
         if stop < start:
             raise UsageError(f"loss-db: empty range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # Counted before any list is built; overflows to inf for extreme bounds.
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_LOSS_POINTS:
+            raise UsageError(f"loss-db: {text!r} exceeds MAX_LOSS_POINTS = {MAX_LOSS_POINTS} points")
+        count = math.floor(span) + 1
         return [start + i * step for i in range(count)]
     try:
         return [float(text)]
@@ -210,23 +216,18 @@ def _parse_loss_values(text: str) -> list[float]:
 
 
 def _validated(settings: dict) -> dict:
-    if settings["scenario"] not in ("single", "exp", "uniform"):
-        raise UsageError(f"scenario: unknown scenario {settings['scenario']!r}")
-    try:
-        OpKind(settings["op"])
-    except ValueError as exc:
-        raise UsageError(f"op: {exc}") from exc
+    for key, setting in SETTINGS.items():
+        value = settings[key]
+        if setting.choices is not None and value not in setting.choices:
+            raise UsageError(f"{key}: must be one of {', '.join(setting.choices)}, got {value!r}")
+        if setting.type is float and not math.isfinite(value):
+            raise UsageError(f"{key}: must be finite, got {value}")
     if settings["kmax"] < 1:
         raise UsageError(f"kmax: must be >= 1, got {settings['kmax']}")
     if settings["op"] != "none" and not 1 <= settings["ksel"] <= settings["kmax"]:
         raise UsageError(f"ksel: must be in [1, kmax={settings['kmax']}], got {settings['ksel']}")
-    if settings["format"] not in ("csv", "json"):
-        raise UsageError(f"format: must be csv or json, got {settings['format']!r}")
     if settings["workers"] < 1:
         raise UsageError(f"workers: must be >= 1, got {settings['workers']}")
-    for key, parser in _PARSERS.items():
-        if parser is float and not math.isfinite(settings[key]):
-            raise UsageError(f"{key}: must be finite, got {settings[key]}")
     if settings["attenuation"] <= 0.0:
         raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
     return settings
@@ -248,6 +249,19 @@ def _rate_params(settings: dict) -> RateParams:
     return RateParams(eta_r=settings["eta_r"], memory=settings["memory"])
 
 
+def _operation(settings: dict) -> tuple[OpKind, int]:
+    """The operation and the number of supermodes it acts on (0 for none)."""
+    op_kind = OpKind(settings["op"])
+    return op_kind, settings["ksel"] if op_kind is not OpKind.NONE else 0
+
+
+def _single_loss(settings: dict, command: str) -> float:
+    losses = _parse_loss_values(settings["loss_db"])
+    if len(losses) != 1:
+        raise UsageError(f"loss-db: {command} expects a single loss value, not a range")
+    return losses[0]
+
+
 def _parse_t_list(settings: dict) -> tuple[float, ...]:
     text = settings["t"].strip()
     if not text:
@@ -258,52 +272,51 @@ def _parse_t_list(settings: dict) -> tuple[float, ...]:
         raise UsageError(f"t: {exc}") from exc
 
 
+def _record(
+    settings: dict, loss: float, gain: float, t_values: tuple[float, ...], evaluations: int
+) -> SweepRecord:
+    """Evaluate (gain, t_values) on the dense scalar path and build the output record."""
+    op_kind, k_sel = _operation(settings)
+    channel = _channel(settings, loss)
+    source = SourceParams(gain=gain, spectrum=_spectrum(settings))
+    outcomes = apply_to_supermodes([NonGaussianOpSpec(op_kind, t) for t in t_values], source)
+    result = total_rate(
+        outcomes, channel, _detector(settings), _rate_params(settings), clamp=settings["clamp"]
+    )
+    return SweepRecord(
+        loss_db=loss,
+        eta_e=channel.eta_e,
+        distance_km=loss / settings["attenuation"],
+        scenario=settings["scenario"],
+        op=op_kind.value,
+        k_sel=k_sel,
+        memory=settings["memory"],
+        best_G=gain,
+        best_T=t_values,
+        total_rate=result.total,
+        per_mode_rates=result.per_mode_rates,
+        per_mode_probs=result.per_mode_probs,
+        evaluations=evaluations,
+    )
+
+
 def cmd_point(settings: dict) -> list[SweepRecord]:
-    losses = _parse_loss_values(settings["loss_db"])
-    if len(losses) != 1:
-        raise UsageError("loss-db: point expects a single loss value, not a range")
-    loss = losses[0]
-    op_kind = OpKind(settings["op"])
-    k_sel = settings["ksel"] if op_kind is not OpKind.NONE else 0
+    loss = _single_loss(settings, "point")
+    op_kind, k_sel = _operation(settings)
     t_values = _parse_t_list(settings)
     if op_kind is OpKind.NONE:
         if t_values:
             raise UsageError("t: transmissivities given but op is none")
     elif len(t_values) != k_sel:
         raise UsageError(f"t: expected {k_sel} transmissivities for ksel={k_sel}, got {len(t_values)}")
-    spectrum = _spectrum(settings)
-    check_bound_squeezing("gain", settings["gain"], spectrum)
-    source = SourceParams(gain=settings["gain"], spectrum=spectrum)
-    specs = [NonGaussianOpSpec(op_kind, t) for t in t_values]
-    outcomes = apply_to_supermodes(specs, source)
-    result = total_rate(
-        outcomes, _channel(settings, loss), _detector(settings), _rate_params(settings),
-        clamp=settings["clamp"],
-    )
-    record = SweepRecord(
-        loss_db=loss,
-        eta_e=_channel(settings, loss).eta_e,
-        distance_km=loss / settings["attenuation"],
-        scenario=settings["scenario"],
-        op=op_kind.value,
-        k_sel=k_sel,
-        memory=settings["memory"],
-        best_G=settings["gain"],
-        best_T=t_values,
-        total_rate=result.total,
-        per_mode_rates=result.per_mode_rates,
-        per_mode_probs=result.per_mode_probs,
-        evaluations=1,
-    )
-    return [record]
+    check_bound_squeezing("gain", settings["gain"], _spectrum(settings))
+    return [_record(settings, loss, settings["gain"], t_values, evaluations=1)]
 
 
 def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None) -> SweepRecord:
-    op_kind = OpKind(settings["op"])
-    k_sel = settings["ksel"] if op_kind is not OpKind.NONE else 0
-    spectrum = _spectrum(settings)
+    op_kind, k_sel = _operation(settings)
     problem = OptimizationProblem(
-        spectrum=spectrum,
+        spectrum=_spectrum(settings),
         op_kind=op_kind,
         k_sel=k_sel,
         channel=_channel(settings, loss),
@@ -325,39 +338,14 @@ def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None
         with open(trace_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    source = SourceParams(gain=opt.best_g, spectrum=spectrum)
-    specs = [NonGaussianOpSpec(op_kind, t) for t in opt.best_t]
-    outcomes = apply_to_supermodes(specs, source)
-    result = total_rate(
-        outcomes, problem.channel, problem.detector, problem.rate, clamp=settings["clamp"]
-    )
-    return SweepRecord(
-        loss_db=loss,
-        eta_e=problem.channel.eta_e,
-        distance_km=loss / settings["attenuation"],
-        scenario=settings["scenario"],
-        op=op_kind.value,
-        k_sel=k_sel,
-        memory=settings["memory"],
-        best_G=opt.best_g,
-        best_T=opt.best_t,
-        total_rate=result.total,
-        per_mode_rates=result.per_mode_rates,
-        per_mode_probs=result.per_mode_probs,
-        evaluations=opt.evaluations,
-    )
-
-
-def _sweep_worker(payload: tuple[dict, float]) -> SweepRecord:
-    settings, loss = payload
-    return _optimize_at_loss(settings, loss)
+    return _record(settings, loss, opt.best_g, opt.best_t, opt.evaluations)
 
 
 def cmd_sweep(settings: dict) -> list[SweepRecord]:
     losses = _parse_loss_values(settings["loss_db"])
     if settings["workers"] > 1 and len(losses) > 1:
         with ProcessPoolExecutor(max_workers=settings["workers"]) as pool:
-            records = list(pool.map(_sweep_worker, [(settings, loss) for loss in losses]))
+            records = list(pool.map(_optimize_at_loss, [settings] * len(losses), losses))
     else:
         records = [_optimize_at_loss(settings, loss) for loss in losses]
     records.sort(key=lambda record: record.loss_db)
@@ -365,91 +353,29 @@ def cmd_sweep(settings: dict) -> list[SweepRecord]:
 
 
 def cmd_optimize(settings: dict, trace_path: str | None = None) -> list[SweepRecord]:
-    losses = _parse_loss_values(settings["loss_db"])
-    if len(losses) != 1:
-        raise UsageError("loss-db: optimize expects a single loss value, not a range")
-    return [_optimize_at_loss(settings, losses[0], trace_path=trace_path)]
+    return [_optimize_at_loss(settings, _single_loss(settings, "optimize"), trace_path=trace_path)]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
-    lines = [",".join(RECORD_FIELDS)]
+    lines = [",".join(name for name, _, _ in _CSV_COLUMNS)]
     for record in records:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(record.loss_db),
-                    _fmt(record.eta_e),
-                    _fmt(record.distance_km),
-                    record.scenario,
-                    record.op,
-                    str(record.k_sel),
-                    "true" if record.memory else "false",
-                    _fmt(record.best_G),
-                    ";".join(_fmt(t) for t in record.best_T),
-                    _fmt(record.total_rate),
-                    ";".join(_fmt(r) for r in record.per_mode_rates),
-                    ";".join(_fmt(p) for p in record.per_mode_probs),
-                    str(record.evaluations),
-                )
-            )
-        )
+        lines.append(",".join(write(getattr(record, name)) for name, write, _ in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: list[SweepRecord]) -> str:
-    payload = []
-    for record in records:
-        payload.append(
-            {
-                "loss_db": record.loss_db,
-                "eta_e": record.eta_e,
-                "distance_km": record.distance_km,
-                "scenario": record.scenario,
-                "op": record.op,
-                "k_sel": record.k_sel,
-                "memory": record.memory,
-                "best_G": record.best_G,
-                "best_T": list(record.best_T),
-                "total_rate": record.total_rate,
-                "per_mode_rates": list(record.per_mode_rates),
-                "per_mode_probs": list(record.per_mode_probs),
-                "evaluations": record.evaluations,
-            }
-        )
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(record) for record in records], indent=2) + "\n"
 
 
 def parse_csv_records(text: str) -> list[SweepRecord]:
     """Inverse of ``records_to_csv``; numeric columns round-trip bit-exactly."""
     lines = [line for line in text.splitlines() if line]
-    if not lines or tuple(lines[0].split(",")) != RECORD_FIELDS:
+    if not lines or lines[0].split(",") != [name for name, _, _ in _CSV_COLUMNS]:
         raise ValueError("unrecognized CSV header")
-    records = []
-    for line in lines[1:]:
-        cols = line.split(",")
-        records.append(
-            SweepRecord(
-                loss_db=float(cols[0]),
-                eta_e=float(cols[1]),
-                distance_km=float(cols[2]),
-                scenario=cols[3],
-                op=cols[4],
-                k_sel=int(cols[5]),
-                memory=cols[6] == "true",
-                best_G=float(cols[7]),
-                best_T=tuple(float(v) for v in cols[8].split(";") if v),
-                total_rate=float(cols[9]),
-                per_mode_rates=tuple(float(v) for v in cols[10].split(";") if v),
-                per_mode_probs=tuple(float(v) for v in cols[11].split(";") if v),
-                evaluations=int(cols[12]),
-            )
-        )
-    return records
-
-
-def _emit(records: list[SweepRecord], settings: dict, out_handle) -> None:
-    text = records_to_csv(records) if settings["format"] == "csv" else records_to_json(records)
-    out_handle.write(text)
+    return [
+        SweepRecord(*(read(cell) for (_, _, read), cell in zip(_CSV_COLUMNS, line.split(","))))
+        for line in lines[1:]
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -467,30 +393,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", choices=("single", "exp", "uniform"), default=None)
-    parser.add_argument("--decay", type=float, default=None, help="exp-scenario decay constant")
-    parser.add_argument("--kmax", type=int, default=None, help="number of supermodes")
-    parser.add_argument("--ksel", type=int, default=None, help="supermodes receiving the operation")
-    parser.add_argument("--op", choices=[k.value for k in OpKind], default=None)
-    parser.add_argument("--memory", action=argparse.BooleanOptionalAction, default=None,
-                        help="heralding into a quantum memory (success probability not charged)")
-    parser.add_argument("--clamp", action=argparse.BooleanOptionalAction, default=None,
-                        help="discard loss-making supermodes in the total")
-    parser.add_argument("--loss-db", dest="loss_db", default=None,
-                        help="channel loss in dB: single value or A:B:STEP")
-    parser.add_argument("--eps", type=float, default=None, help="excess noise (input-referred)")
-    parser.add_argument("--nu", type=float, default=None, help="detector thermal noise variance")
-    parser.add_argument("--eta-d", dest="eta_d", type=float, default=None, help="detection efficiency")
-    parser.add_argument("--eta-r", dest="eta_r", type=float, default=None, help="reconciliation efficiency")
-    parser.add_argument("--attenuation", type=float, default=None, help="fiber attenuation dB/km")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--workers", type=int, default=None, help="parallel sweep workers")
+def _add_setting_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One flag per setting that ``command`` takes; unset flags stay None."""
+    for key, setting in SETTINGS.items():
+        if command not in setting.commands:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if setting.type is bool:
+            parser.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction,
+                                default=None, help=setting.help)
+        else:
+            parser.add_argument(flag, dest=key, type=setting.type, choices=setting.choices,
+                                default=None, help=setting.help)
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--grid-points", dest="grid_points", type=int, default=None,
-                        help="coarse grid points per optimization axis")
-    parser.add_argument("--g-max", dest="g_max", type=float, default=None, help="gain upper bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,19 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-mode CV-QKD key rates with heralded non-Gaussian operations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    point = sub.add_parser("point", help="evaluate one fully specified configuration")
-    _add_common_flags(point)
-    point.add_argument("--gain", type=float, default=None, help="PDC gain G (fixed)")
-    point.add_argument("--t", default=None, help="comma-separated transmissivities, one per ksel")
-
-    sweep = sub.add_parser("sweep", help="optimized key rate over a loss range")
-    _add_common_flags(sweep)
-
-    opt = sub.add_parser("optimize", help="optimize G and T at a single loss")
-    _add_common_flags(opt)
-    opt.add_argument("--trace", default=None,
-                     help="write the refinement trace (params, rate) to this JSON file")
+    for command, text in zip(_RUN_COMMANDS, (
+        "evaluate one fully specified configuration",
+        "optimized key rate over a loss range",
+        "optimize G and T at a single loss",
+    )):
+        _add_setting_flags(sub.add_parser(command, help=text), command)
+    sub.choices["optimize"].add_argument(
+        "--trace", default=None, help="write the refinement trace (params, rate) to this JSON file"
+    )
 
     verify = sub.add_parser("verify", help="run the closed-form vs oracle cross-checks")
     verify.add_argument("--tol-cm", type=float, default=1e-6, help="CM entry tolerance")
@@ -539,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
                 records = cmd_sweep(settings)
             else:
                 records = cmd_optimize(settings, trace_path=getattr(args, "trace", None))
-            _emit(records, settings, out_handle if out_handle else sys.stdout)
+            text = records_to_csv(records) if settings["format"] == "csv" else records_to_json(records)
+            (out_handle or sys.stdout).write(text)
         finally:
             if out_handle:
                 out_handle.close()

@@ -161,15 +161,21 @@ def entropy_g(x) -> np.ndarray | float:
         raise UnphysicalStateError(
             "unphysical symplectic eigenvalue", min_eigenvalue=float(arr.min())
         )
-    arr = np.maximum(arr, 1.0)
-    hi = (arr + 1.0) / 2.0
-    lo = (arr - 1.0) / 2.0
-    out = hi * np.log2(hi)
-    positive = lo > 0.0
-    out = out - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
+    out = entropy_g_clamped(arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def entropy_g_clamped(x: np.ndarray) -> np.ndarray:
+    """``entropy_g`` for arrays known physical up to rounding: values below 1
+    are clamped to 1 and there is no error path (the batch kernel's entropy)."""
+    x = np.maximum(x, 1.0)
+    hi = (x + 1.0) / 2.0
+    lo = (x - 1.0) / 2.0
+    out = hi * np.log2(hi)
+    positive = lo > 0.0
+    return out - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
 
 
 def homodyne_condition(cm: GeneralCM, measured_mode: int, quadrature: str = "x") -> GeneralCM:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelParams, DetectorParams, PipelineCMs, build_pipeline
-from .gaussian import TwoModeCM, entropy_g, symplectic_eigenvalues
+from .gaussian import entropy_g, entropy_g_clamped, symplectic_eigenvalues
 from .operations import OpKind, OpOutcome, heralded_entries
 
 DEFAULT_RECONCILIATION_EFFICIENCY = 0.95
@@ -60,17 +60,6 @@ def mutual_information(pipeline: PipelineCMs) -> float:
     if v_a_cond <= 0.0:
         raise ValueError(f"unphysical pipeline: conditional variance {v_a_cond}")
     return 0.5 * math.log2(v_a / v_a_cond)
-
-
-def mutual_information_closed_form(
-    cm: TwoModeCM, ch: ChannelParams, det: DetectorParams
-) -> float:
-    """Closed form of the mutual information straight from (a, b, c) and the
-    channel/detector parameters; must agree with ``mutual_information`` on the
-    assembled pipeline."""
-    noise = det.eta_d * ((1.0 - ch.eta_e) + ch.eta_e * ch.epsilon) + (1.0 - det.eta_d) * det.nu
-    denom = det.eta_d * ch.eta_e * cm.a * cm.b + noise * cm.a
-    return -0.5 * math.log2(1.0 - det.eta_d * ch.eta_e * cm.c**2 / denom)
 
 
 def holevo_bound(pipeline: PipelineCMs) -> float:
@@ -134,16 +123,6 @@ def total_rate(
     )
 
 
-def _entropy_g_clamped(x: np.ndarray) -> np.ndarray:
-    """entropy_g for arrays known physical up to rounding (no error path)."""
-    x = np.maximum(x, 1.0)
-    hi = (x + 1.0) / 2.0
-    lo = (x - 1.0) / 2.0
-    out = hi * np.log2(hi)
-    positive = lo > 0.0
-    return out - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
-
-
 def subchannel_rates_batch(
     a, b, c, ch: ChannelParams, det: DetectorParams, rate: RateParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,7 +183,7 @@ def subchannel_rates_batch(
     alphas_sq = np.linalg.eigvals(sigma_x @ sigma_p)
     nus[..., 2:] = np.sqrt(np.maximum(alphas_sq.real, 1.0))
 
-    entropies = _entropy_g_clamped(nus)
+    entropies = entropy_g_clamped(nus)
     chi = (entropies[..., 0] + entropies[..., 1]) - entropies[..., 2:].sum(axis=-1)
     chi = np.where((chi > -CHI_CLAMP_TOL) & (chi < 0.0), 0.0, chi)
     return rate.eta_r * info - chi, info, chi

@@ -2,9 +2,10 @@
 
 Each check compares an implementation path against an oracle that shares no
 code with it: heralded CMs/probabilities against the truncated-Fock engine,
-the closed-form mutual information against the assembled-pipeline value, and
-the two-mode symplectic closed form against the generic eigenproblem. The
-``verify`` CLI subcommand runs all of them and reports one line per check.
+the batch kernel's closed-form mutual information against the
+assembled-pipeline value, and the two-mode symplectic closed form against
+the generic eigenproblem. The ``verify`` CLI subcommand runs all of them and
+reports one line per check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import fock
 from .channel import ChannelParams, DetectorParams, build_pipeline
 from .gaussian import TwoModeCM, symplectic_eigenvalues
-from .keyrate import mutual_information, mutual_information_closed_form
+from .keyrate import RateParams, mutual_information, subchannel_rates_batch
 from .operations import OpKind, heralded_entries
 from .source import epr_cm
 
@@ -89,7 +90,8 @@ def check_tmsv_cm(cm_tol: float = DEFAULT_CM_TOL) -> CheckResult:
 
 
 def check_mutual_information(mi_tol: float = DEFAULT_MI_TOL, draws: int = 200) -> CheckResult:
-    """Assembled-pipeline mutual information vs the closed form, random draws."""
+    """Assembled-pipeline mutual information vs the batch kernel's closed form
+    (``subchannel_rates_batch`` at n = 1), random draws."""
     rng = np.random.default_rng(20240817)
     dev = 0.0
     for _ in range(draws):
@@ -101,7 +103,8 @@ def check_mutual_information(mi_tol: float = DEFAULT_MI_TOL, draws: int = 200) -
         ch = ChannelParams(eta_e=rng.uniform(0.001, 1.0), epsilon=rng.uniform(0.0, 0.5))
         det = DetectorParams(eta_d=rng.uniform(0.3, 1.0), nu=rng.uniform(1.0, 1.5))
         pipeline = build_pipeline(cm, ch, det)
-        dev = max(dev, abs(mutual_information(pipeline) - mutual_information_closed_form(cm, ch, det)))
+        info = subchannel_rates_batch([a], [b], [c], ch, det, RateParams())[1][0]
+        dev = max(dev, abs(mutual_information(pipeline) - info))
     return CheckResult("mutual-information-closed-form", dev, mi_tol)
 
 

@@ -1,6 +1,9 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +13,29 @@ from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
 from mmcvqkd.source import SourceParams, make_spectrum
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging, if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestPoint:
@@ -274,17 +295,67 @@ class TestNumericSettings:
         [("point", ["--attenuation", "0"], "attenuation"),
          ("sweep", ["--loss-db", "0:inf:1"], "loss-db"),
          ("point", ["--eps", "nan"], "eps"),
-         ("point", ["--nu", "nan"], "nu")],
-        ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan"],
+         ("point", ["--nu", "nan"], "nu"),
+         ("sweep", ["--loss-db", "0:1e9:1e-9"], "loss-db"),
+         ("sweep", ["--loss-db", "0:1e308:1e-300"], "loss-db")],
+        ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan",
+             "loss-range-too-many-points", "loss-range-overflow"],
     )
     def test_degenerate_value_is_named_usage_error(self, capsys, command, flags, field):
         args = [command, "--scenario", "single", "--op", "none"]
         if command == "point":
             args += ["--gain", "1.0", "--loss-db", "10"]
-        code, out, err = run_cli(args + flags, capsys)
+        # An unbounded loss range would build its point list for good.
+        with time_limit(2.0):
+            code, out, err = run_cli(args + flags, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field}:")
+
+
+# Output bytes of these runs are pinned in tests/data; a difference is an
+# output-format change, to be re-pinned only on purpose.
+GOLDEN_RUNS = {
+    "cli_point.csv": ["point", "--scenario", "exp", "--op", "0pc", "--ksel", "2",
+                      "--gain", "1.5", "--t", "0.9,0.8", "--loss-db", "10"],
+    "cli_point.json": ["point", "--scenario", "exp", "--op", "0pc", "--ksel", "2",
+                       "--gain", "1.5", "--t", "0.9,0.8", "--loss-db", "10", "--format", "json"],
+    "cli_optimize_memory.csv": ["optimize", "--scenario", "exp", "--op", "1pc", "--ksel", "2",
+                                "--loss-db", "22", "--grid-points", "5", "--memory"],
+    "cli_optimize_no_memory.json": ["optimize", "--scenario", "exp", "--op", "1pc",
+                                    "--ksel", "2", "--loss-db", "22", "--grid-points", "5",
+                                    "--no-memory", "--format", "json"],
+    "cli_sweep.csv": ["sweep", "--scenario", "uniform", "--op", "1ps", "--ksel", "1",
+                      "--no-memory", "--no-clamp", "--loss-db", "0:30:10", "--grid-points", "6"],
+}
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--scenario", "--decay", "--kmax", "--ksel", "--op", "--memory",
+    "--no-memory", "--clamp", "--no-clamp", "--loss-db", "--eps", "--nu", "--eta-d", "--eta-r",
+    "--attenuation", "--out", "--format", "--workers", "--config", "--grid-points", "--g-max",
+}
+OPTIONS = {
+    "point": COMMON_OPTIONS | {"--gain", "--t"},
+    "sweep": COMMON_OPTIONS,
+    "optimize": COMMON_OPTIONS | {"--trace"},
+    "verify": {"-h", "--help", "--tol-cm", "--tol-prob", "--tol-mi"},
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_records_match_fixture_bytes(self, tmp_path, name):
+        out = tmp_path / name
+        assert cli.main(GOLDEN_RUNS[name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+
+    def test_each_subcommand_accepts_the_same_options(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        accepted = {
+            command: {option for action in parser._actions for option in action.option_strings}
+            for command, parser in commands.items()
+        }
+        assert accepted == OPTIONS
 
 
 class TestVerify:
