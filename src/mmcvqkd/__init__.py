@@ -6,7 +6,6 @@ from .channel import (
     PipelineCMs,
     build_pipeline,
     channel_evolve,
-    condition_on_bob,
     detector_assemble,
 )
 from .gaussian import (
@@ -34,7 +33,6 @@ from .operations import (
     OpOutcome,
     apply_op,
     apply_to_supermodes,
-    combined_probability,
     heralded_entries,
 )
 from .optimize import OptimizationProblem, OptimizationResult, optimize
@@ -70,8 +68,6 @@ __all__ = [
     "apply_to_supermodes",
     "build_pipeline",
     "channel_evolve",
-    "combined_probability",
-    "condition_on_bob",
     "detector_assemble",
     "entropy_g",
     "epr_cm",

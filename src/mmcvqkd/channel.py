@@ -138,11 +138,6 @@ def detector_assemble(cm_after_channel: TwoModeCM, det: DetectorParams) -> Pipel
     )
 
 
-def condition_on_bob(pipeline: PipelineCMs, quadrature: str = "x") -> GeneralCM:
-    """Conditional (A, C, D) CM for a homodyne of the chosen quadrature of B."""
-    return homodyne_condition(pipeline.pre_measurement, BOB_MODE_INDEX, quadrature)
-
-
 def build_pipeline(cm: TwoModeCM, ch: ChannelParams, det: DetectorParams) -> PipelineCMs:
     """Channel evolution followed by detector assembly."""
     return detector_assemble(channel_evolve(cm, ch), det)

@@ -69,9 +69,12 @@ SETTINGS = {
     "attenuation": Setting(float, DEFAULT_ATTENUATION_DB_PER_KM, "fiber attenuation dB/km"),
     "out": Setting(str, "", "output path (default stdout)"),
     "format": Setting(str, "csv", choices=("csv", "json")),
-    "workers": Setting(int, 1, "parallel sweep workers"),
-    "grid_points": Setting(int, 25, "coarse grid points per optimization axis"),
-    "g_max": Setting(float, 0.0, "gain upper bound"),  # 0 means "use the scenario default"
+    "workers": Setting(int, 1, "parallel sweep workers", commands=("sweep",)),
+    "grid_points": Setting(
+        int, 25, "coarse grid points per optimization axis", commands=("sweep", "optimize")
+    ),
+    # 0 means "use the scenario default"
+    "g_max": Setting(float, 0.0, "gain upper bound", commands=("sweep", "optimize")),
     "gain": Setting(float, 1.0, "PDC gain G (fixed)", commands=("point",)),
     "t": Setting(str, "", "comma-separated transmissivities, one per ksel", commands=("point",)),
 }
@@ -372,10 +375,13 @@ def parse_csv_records(text: str) -> list[SweepRecord]:
     lines = [line for line in text.splitlines() if line]
     if not lines or lines[0].split(",") != [name for name, _, _ in _CSV_COLUMNS]:
         raise ValueError("unrecognized CSV header")
-    return [
-        SweepRecord(*(read(cell) for (_, _, read), cell in zip(_CSV_COLUMNS, line.split(","))))
-        for line in lines[1:]
-    ]
+    records = []
+    for row, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(_CSV_COLUMNS):
+            raise ValueError(f"CSV row {row}: expected {len(_CSV_COLUMNS)} cells, got {len(cells)}")
+        records.append(SweepRecord(*(read(cell) for (_, _, read), cell in zip(_CSV_COLUMNS, cells))))
+    return records
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

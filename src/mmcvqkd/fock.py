@@ -39,10 +39,6 @@ class FockState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.amplitudes) ** 2).sum()))
-
 
 @dataclass(frozen=True)
 class HeraldResult:

@@ -43,6 +43,22 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+def two_mode_symplectic(a, b, c):
+    """(nu_plus, nu_minus) of [[a*I, c*Z], [c*Z, b*I]], elementwise over arrays.
+
+    nu_+- = sqrt((Delta +- sqrt(Delta^2 - 4 det)) / 2) with
+    Delta = a^2 + b^2 - 2 c^2 > 0. The radicand is evaluated in the factored
+    form (a-b)^2 ((a+b)^2 - 4c^2), which is exact for the degenerate
+    a = b case, and nu_minus as |a*b - c^2| / nu_plus, which avoids
+    cancellation for strongly squeezed states.
+    """
+    delta = a**2 + b**2 - 2.0 * c**2
+    total = a + b
+    radicand = np.maximum((a - b) ** 2 * (total - 2.0 * c) * (total + 2.0 * c), 0.0)
+    nu_plus = np.sqrt((delta + np.sqrt(radicand)) / 2.0)
+    return nu_plus, np.abs(a * b - c**2) / nu_plus
+
+
 @dataclass(frozen=True)
 class TwoModeCM:
     """Symmetric two-mode covariance matrix [[a*I, c*Z], [c*Z, b*I]].
@@ -72,27 +88,11 @@ class TwoModeCM:
         """Dense 4x4 matrix, mode order (x_A, p_A, x_B, p_B)."""
         return np.block([[self.a * I2, self.c * Z2], [self.c * Z2, self.b * I2]])
 
-    def det(self) -> float:
-        """Determinant of the 4x4 matrix, (a*b - c^2)^2 for this block form."""
-        return (self.a * self.b - self.c**2) ** 2
-
     def symplectic_eigenvalues(self) -> tuple[float, float]:
-        """(nu_plus, nu_minus) from the two-mode closed form.
-
-        nu_+- = sqrt((Delta +- sqrt(Delta^2 - 4 det)) / 2) with
-        Delta = a^2 + b^2 - 2 c^2. The radicand is evaluated in the factored
-        form (a-b)^2 ((a+b)^2 - 4c^2), which is exact for the degenerate
-        a = b case, and nu_minus as |a*b - c^2| / nu_plus, which avoids
-        cancellation for strongly squeezed states.
-        """
-        delta = self.a**2 + self.b**2 - 2.0 * self.c**2
-        sub_det = self.a * self.b - self.c**2
-        if delta <= 0.0:  # indefinite matrix, no real symplectic spectrum
+        """(nu_plus, nu_minus) from ``two_mode_symplectic``; NaN when indefinite."""
+        if self.a**2 + self.b**2 - 2.0 * self.c**2 <= 0.0:  # no real symplectic spectrum
             return float("nan"), float("nan")
-        total = self.a + self.b
-        radicand = max((self.a - self.b) ** 2 * (total - 2 * self.c) * (total + 2 * self.c), 0.0)
-        nu_plus = np.sqrt((delta + np.sqrt(radicand)) / 2.0)
-        nu_minus = abs(sub_det) / nu_plus
+        nu_plus, nu_minus = two_mode_symplectic(self.a, self.b, self.c)
         return float(nu_plus), float(nu_minus)
 
     def to_general(self) -> "GeneralCM":

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelParams, DetectorParams, PipelineCMs, build_pipeline
-from .gaussian import entropy_g, entropy_g_clamped, symplectic_eigenvalues
+from .gaussian import entropy_g, entropy_g_clamped, symplectic_eigenvalues, two_mode_symplectic
 from .operations import OpKind, OpOutcome, heralded_entries
 
 DEFAULT_RECONCILIATION_EFFICIENCY = 0.95
@@ -128,8 +128,8 @@ def subchannel_rates_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, I, chi) arrays for batches of post-operation CM entries (a, b, c).
 
-    Same physics as the scalar path: closed-form two-mode symplectic
-    eigenvalues for the channel output, and the conditional (A, C, D) CM
+    Same physics as the scalar path: ``two_mode_symplectic`` (shared with
+    ``TwoModeCM``) for the channel output, and the conditional (A, C, D) CM
     split into decoupled x/p 3x3 blocks whose product yields the squared
     symplectic eigenvalues. The blocks are filled entry by entry (the
     detector's constant entries are Python floats), and all five symplectic
@@ -154,15 +154,7 @@ def subchannel_rates_batch(
     # Symplectic eigenvalues: the channel-output pair in slots 0-1, the three
     # conditional ones in slots 2-4.
     nus = np.empty(shape + (5,))
-    # channel-output symplectic pair (factored radicand: exact when a = b')
-    sub_det = a * b_prime - c_prime**2
-    delta = a**2 + b_prime**2 - 2.0 * c_prime**2
-    total = a + b_prime
-    radicand = np.maximum(
-        (a - b_prime) ** 2 * (total - 2.0 * c_prime) * (total + 2.0 * c_prime), 0.0
-    )
-    nus[..., 0] = nu_plus = np.sqrt((delta + np.sqrt(radicand)) / 2.0)
-    nus[..., 1] = np.abs(sub_det) / nu_plus
+    nus[..., 0], nus[..., 1] = two_mode_symplectic(a, b_prime, c_prime)
 
     # conditional (A, C, D) CM: blocks are m*I + n*Z minus the homodyne update,
     # which only touches the x sector, so x and p decouple into 3x3 blocks.

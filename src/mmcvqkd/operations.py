@@ -164,17 +164,5 @@ def apply_to_supermodes(
     k_max = source.spectrum.k_max
     if len(specs) > k_max:
         raise ValueError(f"selection exceeds mode count: {len(specs)} > {k_max}")
-    outcomes = []
-    for k, r in enumerate(source.squeezings()):
-        if k < len(specs):
-            outcomes.append(apply_op(specs[k], r))
-        else:
-            outcomes.append(OpOutcome(cm=epr_cm(r), probability=1.0))
-    return outcomes
-
-
-def combined_probability(outcomes: Sequence[OpOutcome]) -> float:
-    prob = 1.0
-    for outcome in outcomes:
-        prob *= outcome.probability
-    return prob
+    padded = list(specs) + [NonGaussianOpSpec(OpKind.NONE)] * (k_max - len(specs))
+    return [apply_op(spec, r) for spec, r in zip(padded, source.squeezings())]

@@ -40,6 +40,15 @@ RATE_TIE_ATOL = 1e-12
 # at most grid_points^2 points, but the summed rate array and its argsort
 # hold every grid point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
+# Search box (G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX]) and
+# refinement: MULTISTART grid starts, golden sections down to PARAM_TOL of the
+# axis span, coordinate sweeps until the relative gain is <= RATE_REL_TOL.
+G_MIN = 0.01
+T_MIN = 0.01
+T_MAX = 0.999
+RATE_REL_TOL = 1e-5
+PARAM_TOL = 1e-4
+MULTISTART = 3
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -67,25 +76,17 @@ class OptimizationProblem:
     detector: DetectorParams = field(default_factory=DetectorParams)
     rate: RateParams = field(default_factory=RateParams)
     clamp: bool = True
-    g_min: float = 0.01
     g_max: float | None = None
-    t_min: float = 0.01
-    t_max: float = 0.999
     grid_points: int = DEFAULT_GRID_POINTS
-    rate_rel_tol: float = 1e-5
-    param_tol: float = 1e-4
-    multistart: int = 3
     keep_trace: bool = False
 
     def __post_init__(self):
         if self.op_kind is not OpKind.NONE and not 1 <= self.k_sel <= self.spectrum.k_max:
             raise ValueError(f"k_sel {self.k_sel} out of range for {self.spectrum.k_max} modes")
-        if not 0.0 < self.t_min < self.t_max < 1.0:
-            raise ValueError(f"invalid T bounds ({self.t_min}, {self.t_max})")
         if self.grid_points < 2:
             raise ValueError("grid must have at least 2 points per axis")
-        if self.g_max is not None and not self.g_min < self.g_max < math.inf:
-            raise ValueError(f"invalid G bounds ({self.g_min}, {self.g_max})")
+        if self.g_max is not None and not G_MIN < self.g_max < math.inf:
+            raise ValueError(f"invalid G bounds ({G_MIN}, {self.g_max})")
         check_bound_squeezing("g_max", self.effective_g_max, self.spectrum)
         if self.grid_points ** (1 + self.n_transmissivities) > MAX_GRID_SIZE:
             raise ValueError(
@@ -151,11 +152,11 @@ class _Objective:
 
 def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     n = problem.grid_points
-    g_axis = np.geomspace(problem.g_min, problem.effective_g_max, n)
+    g_axis = np.geomspace(G_MIN, problem.effective_g_max, n)
     axes = [g_axis]
     if problem.n_transmissivities:
-        # Dense toward t_max: equal log spacing in (1 - T).
-        t_axis = 1.0 - np.geomspace(1.0 - problem.t_max, 1.0 - problem.t_min, n)
+        # Dense toward T_MAX: equal log spacing in (1 - T).
+        t_axis = 1.0 - np.geomspace(1.0 - T_MAX, 1.0 - T_MIN, n)
         axes.extend([t_axis[::-1].copy()] * problem.n_transmissivities)
     return axes
 
@@ -206,14 +207,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     # Lexicographically first point within the tie band (row-major ravel order).
     best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
     starts = [best_index]
-    if problem.multistart > 1:
-        order = np.argsort(rates, kind="stable")[::-1]
-        for idx in order[: problem.multistart]:
-            if int(idx) not in starts:
-                starts.append(int(idx))
+    order = np.argsort(rates, kind="stable")[::-1]
+    for idx in order[:MULTISTART]:
+        if int(idx) not in starts:
+            starts.append(int(idx))
 
-    lower = np.array([problem.g_min] + [problem.t_min] * problem.n_transmissivities)
-    upper = np.array([problem.effective_g_max] + [problem.t_max] * problem.n_transmissivities)
+    lower = np.array([G_MIN] + [T_MIN] * problem.n_transmissivities)
+    upper = np.array([problem.effective_g_max] + [T_MAX] * problem.n_transmissivities)
     best_params = grid_params(best_index)
     best_refined = float(rates[best_index])
 
@@ -236,18 +236,18 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
                 center = params[axis]
                 lo_i = max(lower[axis], min(center - width / 2.0, upper[axis] - width))
                 hi_i = min(upper[axis], lo_i + width)
-                abs_tol = problem.param_tol * (upper[axis] - lower[axis])
+                abs_tol = PARAM_TOL * (upper[axis] - lower[axis])
                 value, rate = _golden_section(objective, params, axis, lo_i, hi_i, abs_tol)
                 if rate > current:
                     current = rate
                     params[axis] = value
-            if current - previous <= problem.rate_rel_tol * max(abs(current), 1e-12):
+            if current - previous <= RATE_REL_TOL * max(abs(current), 1e-12):
                 break
         if current > best_refined + RATE_TIE_ATOL:
             best_refined = current
             best_params = params
 
-    g_span = problem.effective_g_max - problem.g_min
+    g_span = problem.effective_g_max - G_MIN
     return OptimizationResult(
         best_rate=best_refined,
         best_g=float(best_params[0]),
@@ -255,7 +255,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         evaluations=objective.evaluations,
         no_positive_key=bool(best_refined <= 0.0),
         g_at_bound=bool(
-            (problem.effective_g_max - best_params[0]) <= 2.0 * problem.param_tol * g_span
+            (problem.effective_g_max - best_params[0]) <= 2.0 * PARAM_TOL * g_span
         ),
         trace=tuple(objective.trace) if problem.keep_trace else None,
     )

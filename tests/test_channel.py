@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mmcvqkd.channel import (
+    BOB_MODE_INDEX,
     ChannelParams,
     DetectorParams,
     build_pipeline,
     channel_evolve,
-    condition_on_bob,
     detector_assemble,
 )
 from mmcvqkd.gaussian import homodyne_condition, symplectic_eigenvalues
@@ -154,6 +154,6 @@ class TestConditionOnBob:
         pipeline = build_pipeline(
             epr_cm(1.0), ChannelParams.from_loss_db(10.0), DetectorParams()
         )
-        conditional_p = condition_on_bob(pipeline, "p")
+        conditional_p = homodyne_condition(pipeline.pre_measurement, BOB_MODE_INDEX, "p")
         reference = pinv_conditional(pipeline.pre_measurement.entries, 3, "p")
         np.testing.assert_allclose(conditional_p.entries, reference, atol=1e-10)

@@ -197,6 +197,11 @@ class TestOutputFormats:
         assert "gain 25.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
         assert "use gain <= 12.5352" in err
 
+    def test_malformed_csv_row_is_named(self):
+        header = cli.records_to_csv([])
+        with pytest.raises(ValueError, match="CSV row 1: expected 13 cells, got 2"):
+            cli.parse_csv_records(header + "1,2\n")
+
     def test_byte_identical_runs(self, tmp_path):
         args = ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1",
                 "--loss-db", "0:10:5"]
@@ -332,12 +337,12 @@ GOLDEN_RUNS = {
 COMMON_OPTIONS = {
     "-h", "--help", "--scenario", "--decay", "--kmax", "--ksel", "--op", "--memory",
     "--no-memory", "--clamp", "--no-clamp", "--loss-db", "--eps", "--nu", "--eta-d", "--eta-r",
-    "--attenuation", "--out", "--format", "--workers", "--config", "--grid-points", "--g-max",
+    "--attenuation", "--out", "--format", "--config",
 }
 OPTIONS = {
     "point": COMMON_OPTIONS | {"--gain", "--t"},
-    "sweep": COMMON_OPTIONS,
-    "optimize": COMMON_OPTIONS | {"--trace"},
+    "sweep": COMMON_OPTIONS | {"--workers", "--grid-points", "--g-max"},
+    "optimize": COMMON_OPTIONS | {"--grid-points", "--g-max", "--trace"},
     "verify": {"-h", "--help", "--tol-cm", "--tol-prob", "--tol-mi"},
 }
 
@@ -356,6 +361,28 @@ class TestGoldenOutput:
             for command, parser in commands.items()
         }
         assert accepted == OPTIONS
+
+    @pytest.mark.parametrize(
+        "args",
+        [["point", "--workers", "7", "--grid-points", "3", "--g-max", "2"],
+         ["optimize", "--workers", "2"]],
+        ids=["point", "optimize"],
+    )
+    def test_flag_of_another_subcommand_is_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--scenario", "single", "--op", "none", "--loss-db", "10"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: " + " ".join(args[1:]) in captured.err
+
+    def test_sweep_settings_from_config_still_accepted_by_point(self, capsys, tmp_path):
+        # One config file serves every subcommand.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 7, "grid_points": 3, "g_max": 2.0}))
+        code, out, _ = run_cli(GOLDEN_RUNS["cli_point.csv"] + ["--config", str(config)], capsys)
+        assert code == 0
+        assert out == (DATA / "cli_point.csv").read_text()
 
 
 class TestVerify:

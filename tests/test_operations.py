@@ -11,7 +11,6 @@ from mmcvqkd.operations import (
     OpKind,
     apply_op,
     apply_to_supermodes,
-    combined_probability,
     heralded_entries,
 )
 from mmcvqkd.source import SourceParams, epr_cm, make_spectrum
@@ -132,7 +131,7 @@ class TestApplyToSupermodes:
         source = SourceParams(1.0, make_spectrum("exp", 5, 2.0))
         outcomes = apply_to_supermodes([], source)
         assert len(outcomes) == 5
-        assert combined_probability(outcomes) == 1.0
+        assert math.prod(o.probability for o in outcomes) == 1.0
         for outcome, r in zip(outcomes, source.squeezings()):
             assert outcome.cm.a == pytest.approx(math.cosh(2 * r), abs=1e-12)
 
@@ -153,7 +152,7 @@ class TestApplyToSupermodes:
         for k in range(2):
             state = fock.build_tmsv(squeezings[k])
             expected *= fock.herald(state, 0, 1, 0.9).probability
-        assert combined_probability(outcomes) == pytest.approx(expected, abs=1e-8)
+        assert math.prod(o.probability for o in outcomes) == pytest.approx(expected, abs=1e-8)
         assert outcomes[2].probability == 1.0
 
     def test_selection_longer_than_mode_count_rejected(self):
