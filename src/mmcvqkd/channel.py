@@ -47,13 +47,6 @@ class ChannelParams:
             raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
         return cls(eta_e=10.0 ** (-loss_db / 10.0), epsilon=epsilon)
 
-    @property
-    def loss_db(self) -> float:
-        return -10.0 * math.log10(self.eta_e)
-
-    def distance_km(self, attenuation_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM) -> float:
-        return self.loss_db / attenuation_db_per_km
-
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -76,13 +69,11 @@ class PipelineCMs:
     after_channel:   (A, B) two-mode CM at the channel output
     pre_measurement: 4-mode CM over (A, C, D, B) just before Bob's homodyne
     conditional:     3-mode CM over (A, C, D) given an x-homodyne of B
-    b_doubleprime:   variance of the quadrature Bob measures
     """
 
     after_channel: TwoModeCM
     pre_measurement: GeneralCM
     conditional: GeneralCM
-    b_doubleprime: float
 
 
 def channel_evolve(cm: TwoModeCM, ch: ChannelParams) -> TwoModeCM:
@@ -134,7 +125,6 @@ def detector_assemble(cm_after_channel: TwoModeCM, det: DetectorParams) -> Pipel
         after_channel=cm_after_channel,
         pre_measurement=pre_measurement,
         conditional=conditional,
-        b_doubleprime=b_dprime,
     )
 
 

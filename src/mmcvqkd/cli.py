@@ -164,8 +164,14 @@ def _from_config(key: str, value: object) -> object:
 
 
 def build_settings(args: argparse.Namespace) -> dict:
-    """Layer defaults, config file, environment and explicit flags."""
-    settings = {key: setting.default for key, setting in SETTINGS.items()}
+    """Layer defaults, config file, environment and explicit flags.
+
+    Only the settings that ``args.command`` takes are layered: a config key
+    or variable of another subcommand is ignored, an unknown config key fails.
+    """
+    settings = {
+        key: setting.default for key, setting in SETTINGS.items() if args.command in setting.commands
+    }
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -176,9 +182,10 @@ def build_settings(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise UsageError(f"config: {config_path} must hold a JSON object")
         for key, value in loaded.items():
-            if key not in settings:
+            if key not in SETTINGS:
                 raise UsageError(f"config: unknown field {key!r}")
-            settings[key] = _from_config(key, value)
+            if key in settings:
+                settings[key] = _from_config(key, value)
     for key in settings:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
@@ -219,8 +226,8 @@ def _parse_loss_values(text: str) -> list[float]:
 
 
 def _validated(settings: dict) -> dict:
-    for key, setting in SETTINGS.items():
-        value = settings[key]
+    for key, value in settings.items():
+        setting = SETTINGS[key]
         if setting.choices is not None and value not in setting.choices:
             raise UsageError(f"{key}: must be one of {', '.join(setting.choices)}, got {value!r}")
         if setting.type is float and not math.isfinite(value):
@@ -229,7 +236,7 @@ def _validated(settings: dict) -> dict:
         raise UsageError(f"kmax: must be >= 1, got {settings['kmax']}")
     if settings["op"] != "none" and not 1 <= settings["ksel"] <= settings["kmax"]:
         raise UsageError(f"ksel: must be in [1, kmax={settings['kmax']}], got {settings['ksel']}")
-    if settings["workers"] < 1:
+    if settings.get("workers", 1) < 1:
         raise UsageError(f"workers: must be >= 1, got {settings['workers']}")
     if settings["attenuation"] <= 0.0:
         raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
@@ -347,12 +354,10 @@ def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None
 def cmd_sweep(settings: dict) -> list[SweepRecord]:
     losses = _parse_loss_values(settings["loss_db"])
     if settings["workers"] > 1 and len(losses) > 1:
+        # pool.map keeps the order of ``losses``, which ascend.
         with ProcessPoolExecutor(max_workers=settings["workers"]) as pool:
-            records = list(pool.map(_optimize_at_loss, [settings] * len(losses), losses))
-    else:
-        records = [_optimize_at_loss(settings, loss) for loss in losses]
-    records.sort(key=lambda record: record.loss_db)
-    return records
+            return list(pool.map(_optimize_at_loss, [settings] * len(losses), losses))
+    return [_optimize_at_loss(settings, loss) for loss in losses]
 
 
 def cmd_optimize(settings: dict, trace_path: str | None = None) -> list[SweepRecord]:

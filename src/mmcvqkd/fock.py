@@ -92,10 +92,8 @@ def beam_splitter_element(m1: int, m2: int, n1: int, n2: int, t: float) -> float
     amp_t = math.sqrt(t)
     amp_r = math.sqrt(1.0 - t)
     total = 0.0
-    for i in range(n1 + 1):
+    for i in range(max(0, m1 - n2), min(n1, m1) + 1):
         j = m1 - i
-        if j < 0 or j > n2:
-            continue
         total += (
             math.comb(n1, i)
             * math.comb(n2, j)

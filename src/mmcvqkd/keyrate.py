@@ -48,8 +48,6 @@ class KeyRateResult:
 
     per_mode_rates: tuple[float, ...]
     per_mode_probs: tuple[float, ...]
-    mutual_info: tuple[float, ...]
-    holevo: tuple[float, ...]
     total: float
 
 
@@ -100,27 +98,14 @@ def total_rate(
     memory the total carries the product of the heralding probabilities.
     Supermodes are accumulated in ascending order for bit-reproducibility.
     """
-    infos, holevos, rates = [], [], []
-    for outcome in outcomes:
-        pipeline = build_pipeline(outcome.cm, ch, det)
-        info = mutual_information(pipeline)
-        chi = holevo_bound(pipeline)
-        infos.append(info)
-        holevos.append(chi)
-        rates.append(rate.eta_r * info - chi)
+    rates = [subchannel_rate(outcome, ch, det, rate) for outcome in outcomes]
     probs = [outcome.probability for outcome in outcomes]
     total = 0.0
     for r_k in rates:
         total += max(r_k, 0.0) if clamp else r_k
     if not rate.memory:
         total *= math.prod(probs)
-    return KeyRateResult(
-        per_mode_rates=tuple(rates),
-        per_mode_probs=tuple(probs),
-        mutual_info=tuple(infos),
-        holevo=tuple(holevos),
-        total=total,
-    )
+    return KeyRateResult(per_mode_rates=tuple(rates), per_mode_probs=tuple(probs), total=total)
 
 
 def subchannel_rates_batch(

@@ -84,16 +84,16 @@ def heralded_entries(kind: OpKind, xi_sq, t):
     (transmitted) mode, ``c`` their correlation and ``p`` the heralding
     probability. Inputs must satisfy 0 <= xi_sq < 1 and 0 < t <= 1, which
     guarantees u = xi_sq * t < 1. Repeated factors (1 - u, t^2, xi^4) are
-    formed once per call; only NONE, whose probability is 1, builds an
-    array of ones.
+    formed once per call.
+
+    NONE is 0-PC at t = 1, the identity: u is exactly xi_sq and p exactly 1,
+    so ``t`` is ignored and every entry has the shape of ``xi_sq``.
     """
     kind = OpKind(kind)
+    if kind is OpKind.NONE:
+        kind, t = OpKind.PC0, 1.0
     xi_sq = np.asarray(xi_sq, dtype=float)
     t = np.asarray(t, dtype=float)
-    if kind is OpKind.NONE:
-        a = (1.0 + xi_sq) / (1.0 - xi_sq)
-        c = 2.0 * np.sqrt(xi_sq) / (1.0 - xi_sq)
-        return a, a, c, np.ones(np.broadcast(xi_sq, t).shape)
     u = xi_sq * t
     one_minus_u = 1.0 - u
     if kind is OpKind.PC0:

@@ -26,7 +26,6 @@ class Scenario(str, enum.Enum):
     SINGLE_MODE = "single"
     EXP_DECAY = "exp"
     UNIFORM = "uniform"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class SupermodeSpectrum:
     """
 
     lambdas: tuple[float, ...]
-    scenario: Scenario = Scenario.CUSTOM
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -89,14 +87,12 @@ def make_spectrum(
         lam[0] = 1.0
     elif scenario is Scenario.UNIFORM:
         lam = np.full(k_max, 1.0 / math.sqrt(k_max))
-    elif scenario is Scenario.EXP_DECAY:
+    else:  # Scenario.EXP_DECAY
         if not decay > 0.0:
             raise ValueError(f"decay constant must be positive, got {decay}")
         lam = np.exp(-np.arange(k_max) / decay)
         lam = lam / math.sqrt(float((lam**2).sum()))
-    else:
-        raise ValueError("custom spectra are built directly from coefficients")
-    return SupermodeSpectrum(tuple(lam), scenario)
+    return SupermodeSpectrum(tuple(lam))
 
 
 def epr_cm(r: float) -> TwoModeCM:

@@ -384,6 +384,28 @@ class TestGoldenOutput:
         assert code == 0
         assert out == (DATA / "cli_point.csv").read_text()
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_sweep_variable_is_ignored_by_point(self, capsys, monkeypatch, value):
+        # point takes no workers setting, so it neither parses nor checks the variable.
+        monkeypatch.setenv("MMCVQKD_WORKERS", value)
+        code, out, _ = run_cli(GOLDEN_RUNS["cli_point.csv"], capsys)
+        assert code == 0
+        assert out == (DATA / "cli_point.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("0", "error: workers: must be >= 1, got 0"),
+         ("abc", "error: MMCVQKD_WORKERS: cannot parse 'abc' as int")],
+    )
+    def test_sweep_rejects_bad_workers_variable(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("MMCVQKD_WORKERS", value)
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "single", "--op", "none", "--loss-db", "10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

@@ -160,7 +160,9 @@ class TestTotalRate:
         assert result.total == pytest.approx(
             sum(max(r, 0.0) for r in result.per_mode_rates), abs=1e-15
         )
-        for r_k, info, chi in zip(result.per_mode_rates, result.mutual_info, result.holevo):
+        for r_k, outcome in zip(result.per_mode_rates, outcomes):
+            pipeline = build_pipeline(outcome.cm, DEFAULT_CH, DEFAULT_DET)
+            info, chi = mutual_information(pipeline), holevo_bound(pipeline)
             assert r_k == pytest.approx(0.95 * info - chi, abs=1e-12)
 
 

@@ -112,6 +112,16 @@ class TestClosedForms:
         assert (float(a_pc), float(c_pc)) == (1.0, 0.0)
         assert (float(a_0), float(c_0), float(p_0)) == (1.0, 0.0, 1.0)
 
+    def test_untouched_is_zero_pc_at_unit_transmissivity(self):
+        # NONE ignores t: its entries are 0-PC's at t = 1 bit for bit, with p exactly 1.
+        xi_sq = np.concatenate([[0.0], np.tanh(R_GRID) ** 2])
+        identity = heralded_entries(OpKind.PC0, xi_sq, 1.0)
+        for t in (0.37, 1.0, np.linspace(0.05, 0.95, xi_sq.size)):
+            untouched = heralded_entries(OpKind.NONE, xi_sq, t)
+            for entry, reference in zip(untouched, identity):
+                assert np.array_equal(entry, reference)
+            assert np.all(untouched[3] == 1.0)
+
 
 class TestAgainstFockOracle:
     @pytest.mark.parametrize("kind", ACTIVE)

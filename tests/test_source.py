@@ -7,7 +7,6 @@ import pytest
 
 from mmcvqkd import fock
 from mmcvqkd.source import (
-    Scenario,
     SourceParams,
     SupermodeSpectrum,
     epr_cm,
@@ -20,7 +19,6 @@ class TestMakeSpectrum:
     def test_single_mode(self):
         spectrum = make_spectrum("single", 5)
         assert spectrum.lambdas == (1.0, 0.0, 0.0, 0.0, 0.0)
-        assert spectrum.scenario is Scenario.SINGLE_MODE
 
     def test_uniform(self):
         spectrum = make_spectrum("uniform", 5)
