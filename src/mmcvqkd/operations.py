@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import TwoModeCM
-from .source import SourceParams, epr_cm
+from .source import SourceParams
 
 
 class OpKind(str, enum.Enum):
@@ -142,11 +142,13 @@ def heralded_entries(kind: OpKind, xi_sq, t):
 
 
 def apply_op(spec: NonGaussianOpSpec, r: float) -> OpOutcome:
-    """Heralded covariance matrix and success probability for one supermode."""
+    """Heralded covariance matrix and success probability for one supermode.
+
+    NONE goes through ``heralded_entries`` like every kind, as 0-PC at T = 1,
+    the expression the optimizer evaluates.
+    """
     if r < 0.0:
         raise ValueError(f"negative squeezing {r}")
-    if spec.kind is OpKind.NONE:
-        return OpOutcome(cm=epr_cm(r), probability=1.0)
     xi_sq = math.tanh(r) ** 2
     a, b, c, p = heralded_entries(spec.kind, xi_sq, spec.transmissivity)
     return OpOutcome(cm=TwoModeCM(float(a), float(b), float(c)), probability=float(p))

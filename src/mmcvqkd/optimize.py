@@ -3,7 +3,8 @@
 The search space is the source gain G plus one beam-splitter transmissivity
 per operated supermode. A coarse tensor grid (log-spaced G, T spaced
 logarithmically toward 1 where subtraction-type optima concentrate) seeds a
-coordinate-wise golden-section refinement from the best few grid points.
+coordinate-wise refinement from the best few grid points: one seeded Brent
+line search per coordinate (parabolic steps with a golden-section fallback).
 Grid + refinement is preferred over gradient methods: the rate surface has
 ridges near physicality boundaries and reproducibility matters more than
 speed at this dimensionality (at most four axes).
@@ -37,20 +38,23 @@ DEFAULT_GRID_POINTS = 25
 MAX_BOUND_SQUEEZING = 10.0
 RATE_TIE_ATOL = 1e-12
 # Memory guard on the combined grid: the kernel only sees per-mode tables of
-# at most grid_points^2 points, but the summed rate array and its argsort
-# hold every grid point (25^4 is fine, 25^5 is not).
+# at most grid_points^2 points, but the summed rate array holds every grid
+# point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
 # Search box (G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX]) and
-# refinement: MULTISTART grid starts, golden sections down to PARAM_TOL of the
-# axis span, coordinate sweeps until the relative gain is <= RATE_REL_TOL.
+# refinement: MULTISTART grid starts, each refined by at most MAX_SWEEPS
+# coordinate sweeps, which stop once a sweep gains <= RATE_REL_TOL relative;
+# every line search stops at PARAM_TOL of the axis span.
 G_MIN = 0.01
 T_MIN = 0.01
 T_MAX = 0.999
 RATE_REL_TOL = 1e-5
 PARAM_TOL = 1e-4
 MULTISTART = 3
+MAX_SWEEPS = 12
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's fminbound uses the same constant
 
 
 def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -> None:
@@ -161,34 +165,84 @@ def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     return axes
 
 
-def _golden_section(objective: _Objective, params: np.ndarray, axis: int,
-                    lo: float, hi: float, abs_tol: float) -> tuple[float, float]:
-    """Maximize along one coordinate inside [lo, hi]; returns (value, rate)."""
+def _top_indices(rates: np.ndarray, count: int) -> list[int]:
+    """Flat indices of the ``count`` largest rates, largest first.
+
+    Equal rates put the larger index first, the order of
+    ``np.argsort(rates, kind="stable")[::-1]``, without sorting the grid:
+    each pick is one argmax over a reversed copy, whose first maximum is the
+    last one in index order, and then masks the picked entry.
+    """
+    backwards = rates[::-1].copy()
+    picked = []
+    for _ in range(min(count, rates.size)):
+        index = int(np.argmax(backwards))
+        picked.append(rates.size - 1 - index)
+        backwards[index] = -np.inf
+    return picked
+
+
+def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, hi: float,
+              abs_tol: float, current: float) -> tuple[float, float]:
+    """Maximize along one coordinate inside [lo, hi]; returns (value, rate).
+
+    Brent's bounded search (parabolic steps with a golden-section fallback),
+    seeded with params[axis] and its known rate ``current``. A step replaces
+    the incumbent only if it is strictly better, so the result is never below
+    ``current`` and a flat line returns the seed. Termination is fminbound's:
+    it stops once both ends of the bracket lie within 2 * tol1 of the
+    incumbent x, with tol1 = sqrt(eps) * |x| + abs_tol / 3.
+    """
+    point = params.copy()
     a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    pc = params.copy()
-    pd = params.copy()
-    pc[axis] = c
-    pd[axis] = d
-    fc = objective.point(pc)
-    fd = objective.point(pd)
-    while b - a > abs_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            pc[axis] = c
-            fc = objective.point(pc)
+    # Minimizes -rate. x is the best point so far, w the second best and v the
+    # previous w; ``prior`` is the step before last, or for a golden step the
+    # part of the bracket it cuts into.
+    x = w = v = float(params[axis])
+    fx = fw = fv = -current
+    step = prior = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + abs_tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, -fx
+        parabolic = False
+        if abs(prior) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # The parabola's vertex must lie inside (a, b) and move less than
+            # half the step before last, which forces the bracket to shrink.
+            limit, prior = prior, step
+            if abs(p) < abs(0.5 * q * limit) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if (x + step) - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            prior = (a if x >= mid else b) - x
+            step = _GOLDEN * prior
+        u = x + (step if abs(step) >= tol1 else (tol1 if step >= 0.0 else -tol1))
+        point[axis] = u
+        fu = -objective.point(point)
+        if fu < fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            pd[axis] = d
-            fd = objective.point(pd)
-    return (c, fc) if fc >= fd else (d, fd)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
-    """Coarse-grid search followed by coordinate-wise golden-section refinement.
+    """Coarse-grid search followed by coordinate-wise line-search refinement.
 
     Deterministic: ties within RATE_TIE_ATOL resolve to the lexicographically
     smallest (G, T_1, T_2, ...) grid point; refinement never returns less than
@@ -207,13 +261,12 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     # Lexicographically first point within the tie band (row-major ravel order).
     best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
     starts = [best_index]
-    order = np.argsort(rates, kind="stable")[::-1]
-    for idx in order[:MULTISTART]:
-        if int(idx) not in starts:
-            starts.append(int(idx))
+    for idx in _top_indices(rates, MULTISTART):
+        if idx not in starts:
+            starts.append(idx)
 
-    lower = np.array([G_MIN] + [T_MIN] * problem.n_transmissivities)
-    upper = np.array([problem.effective_g_max] + [T_MAX] * problem.n_transmissivities)
+    lower = [G_MIN] + [T_MIN] * problem.n_transmissivities
+    upper = [problem.effective_g_max] + [T_MAX] * problem.n_transmissivities
     best_params = grid_params(best_index)
     best_refined = float(rates[best_index])
 
@@ -227,17 +280,17 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
             lo = grid[max(pos - 1, 0)]
             hi = grid[min(pos + 1, len(grid) - 1)]
             brackets.append((max(float(lo), lower[axis]), min(float(hi), upper[axis])))
-        for _ in range(12):
+        for _ in range(MAX_SWEEPS):
             previous = current
             for axis, (lo, hi) in enumerate(brackets):
                 width = hi - lo
                 if width <= 0.0:
                     continue
-                center = params[axis]
+                center = float(params[axis])
                 lo_i = max(lower[axis], min(center - width / 2.0, upper[axis] - width))
                 hi_i = min(upper[axis], lo_i + width)
                 abs_tol = PARAM_TOL * (upper[axis] - lower[axis])
-                value, rate = _golden_section(objective, params, axis, lo_i, hi_i, abs_tol)
+                value, rate = _line_max(objective, params, axis, lo_i, hi_i, abs_tol, current)
                 if rate > current:
                     current = rate
                     params[axis] = value

@@ -1,12 +1,25 @@
 """Optimizer behavior: grid, refinement, determinism, flags."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, subchannel_rates_batch, total_rate_batch
 from mmcvqkd.operations import OpKind, heralded_entries
-from mmcvqkd.optimize import T_MAX, T_MIN, OptimizationProblem, optimize, _grid_axes
+from mmcvqkd.optimize import (
+    G_MIN,
+    MULTISTART,
+    RATE_REL_TOL,
+    T_MAX,
+    T_MIN,
+    OptimizationProblem,
+    _grid_axes,
+    _line_max,
+    _top_indices,
+    optimize,
+)
 from mmcvqkd.source import make_spectrum
 
 
@@ -181,18 +194,18 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
         assert np.array_equal(np.concatenate(singles), reference[sample]), k_sel
 
 
-# Default-grid k_sel = 3 optima recorded before the grid moved to an open
-# mesh; the grid optimum, and with it the whole solve, must reproduce exactly.
+# Default-grid k_sel = 3 optima: the whole solve, grid and refinement, must
+# reproduce exactly.
 @pytest.mark.parametrize(
     "kind, loss_db, memory, pinned",
     [
         (OpKind.PC1, 22.0, False, (
-            "0x1.23c77acda3eb6p-9", "0x1.e1db5945e224ap+0",
-            ("0x1.ff7ced916872bp-1",) * 3, 390873,
+            "0x1.23c77ad01c58cp-9", "0x1.e1d9ca078e7bep+0",
+            ("0x1.ff7ced916872bp-1",) * 3, 390721,
         )),
         (OpKind.PC0, 30.0, True, (
-            "0x1.7755b8c35aa34p-12", "0x1.912085ebba058p+1",
-            ("0x1.81e90c269066cp-1", "0x1.c793e988d234cp-1", "0x1.ff7ced916872bp-1"), 391034,
+            "0x1.7755b8bd61be4p-12", "0x1.912085ebba058p+1",
+            ("0x1.81e7f9e6f5a73p-1", "0x1.c7937355d8866p-1", "0x1.ff7ced916872bp-1"), 390793,
         )),
     ],
 )
@@ -211,3 +224,129 @@ def test_k3_optimum_pinned(kind, loss_db, memory, pinned):
         result.evaluations,
     )
     assert observed == pinned
+
+
+class _Line:
+    """Stands in for the optimizer's objective: one-point calls of f along axis 0."""
+
+    def __init__(self, f):
+        self.f = f
+        self.visited = []
+
+    def point(self, params):
+        self.visited.append(float(params[0]))
+        return float(self.f(params[0]))
+
+
+def _search(f, seed, lo=0.0, hi=1.0, abs_tol=1e-4):
+    """(value, rate, evaluations) of one line search; every evaluated point
+    must lie in [lo, hi] and the caller's params must be left untouched."""
+    line = _Line(f)
+    params = np.array([seed, 0.5])
+    value, rate = _line_max(line, params, 0, lo, hi, abs_tol, float(f(seed)))
+    assert params.tolist() == [seed, 0.5]
+    assert all(lo <= x <= hi for x in line.visited)
+    return value, rate, len(line.visited)
+
+
+class TestLineMax:
+    def test_interior_maximum_within_abs_tol(self):
+        for peak in (0.137, 0.5, 0.81):
+            for seed in (0.02, 0.5, 0.97):
+                value, rate, _ = _search(lambda x: math.exp(-30.0 * (x - peak) ** 2), seed)
+                assert abs(value - peak) <= 1e-4, (peak, seed)
+                assert rate == math.exp(-30.0 * (value - peak) ** 2)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_maximum_at_each_bound(self, slope):
+        bound = 1.0 if slope > 0 else 0.0
+        for seed in (0.3, 0.5, 0.7):
+            value, rate, _ = _search(lambda x: slope * x, seed)
+            assert abs(value - bound) <= 1e-4, (slope, seed)
+            assert rate == slope * value
+
+    def test_flat_line_returns_the_seed(self):
+        for seed in (0.0, 0.25, 1.0):
+            value, rate, calls = _search(lambda x: 0.0, seed)
+            assert (value, rate) == (seed, 0.0)
+            assert calls > 0
+
+    def test_never_below_the_seeded_rate(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            freq, phase = rng.uniform(5.0, 40.0), rng.uniform(0.0, 2.0 * math.pi)
+            f = lambda x: math.sin(freq * x + phase)  # noqa: E731
+            seed = float(rng.uniform())
+            value, rate, _ = _search(f, seed)
+            assert 0.0 <= value <= 1.0
+            assert rate >= f(seed)
+            assert rate == f(value)
+
+    def test_fewer_evaluations_than_golden_section(self):
+        # Golden section evaluates two points, then one per shrink by 1/phi
+        # until the bracket is within abs_tol.
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        for abs_tol in (1e-3, 1e-4, 1e-6):
+            golden = 2 + math.ceil(math.log(abs_tol) / math.log(inv_phi))
+            value, _, calls = _search(lambda x: -((x - 0.3141) ** 2), 0.5, abs_tol=abs_tol)
+            assert abs(value - 0.3141) <= abs_tol
+            assert calls < golden / 2, (abs_tol, calls, golden)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 17, 1000])
+def test_top_indices_match_reversed_stable_argsort(size):
+    rng = np.random.default_rng(size)
+    grids = [
+        np.zeros(size),
+        np.maximum(rng.integers(-6, 3, size), 0).astype(float),  # mostly exact zeros
+        rng.integers(0, 2, size).astype(float),
+        rng.uniform(size=size),
+    ]
+    if size > 3:
+        problem = _problem(
+            spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PS1, k_sel=2,
+            channel=ChannelParams.from_loss_db(18.0), grid_points=10,
+        )
+        gains, *transmissivities = np.meshgrid(*_grid_axes(problem), indexing="ij", sparse=True)
+        clamped = total_rate_batch(
+            problem.spectrum.lambdas, problem.op_kind, gains, tuple(transmissivities),
+            problem.channel, problem.detector, problem.rate,
+        ).ravel()
+        assert np.count_nonzero(clamped == 0.0) > clamped.size // 4
+        grids.append(clamped)
+    for rates in grids:
+        before = rates.copy()
+        expected = np.argsort(rates, kind="stable")[::-1][:MULTISTART].tolist()
+        assert _top_indices(rates, MULTISTART) == expected
+        assert np.array_equal(rates, before)
+
+
+def test_memory_optimum_not_below_dense_scan():
+    # k_sel = 1 with memory: a 401 x 401 (G, T) scan over the whole box is an
+    # independent lower bound on the true maximum.
+    problem = _problem(
+        spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC1, k_sel=1,
+        channel=ChannelParams.from_loss_db(22.0), rate=RateParams(memory=True),
+    )
+    result = optimize(problem)
+    gains = np.linspace(G_MIN, problem.effective_g_max, 401)[:, None]
+    transmissivities = 1.0 - np.geomspace(1.0 - T_MIN, 1.0 - T_MAX, 401)[None, :]
+    scan = total_rate_batch(
+        problem.spectrum.lambdas, problem.op_kind, gains, (transmissivities,),
+        problem.channel, problem.detector, problem.rate,
+    )
+    assert result.best_rate >= scan.max() * (1.0 - RATE_REL_TOL)
+    assert not result.g_at_bound and T_MIN < result.best_t[0] < T_MAX
+
+
+def test_refinement_stays_in_the_box():
+    problem = _problem(
+        spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC0, k_sel=2,
+        channel=ChannelParams.from_loss_db(30.0), rate=RateParams(memory=True),
+        keep_trace=True,
+    )
+    result = optimize(problem)
+    assert len(result.trace) == result.evaluations - problem.grid_points**3
+    for params, _ in result.trace:
+        assert G_MIN <= params[0] <= problem.effective_g_max
+        assert all(T_MIN <= t <= T_MAX for t in params[1:])
