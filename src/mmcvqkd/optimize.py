@@ -4,7 +4,10 @@ The search space is the source gain G plus one beam-splitter transmissivity
 per operated supermode. A coarse tensor grid (log-spaced G, T spaced
 logarithmically toward 1 where subtraction-type optima concentrate) seeds a
 coordinate-wise refinement from the best few grid points: one seeded Brent
-line search per coordinate (parabolic steps with a golden-section fallback).
+line search per coordinate (parabolic steps with a golden-section fallback),
+then one probe of the box end when the search stops just short of it. A
+start that sits within one T step of a better start at the same G index is
+skipped (clustering multistart): it would refine the same grid cell again.
 Grid + refinement is preferred over gradient methods: the rate surface has
 ridges near physicality boundaries and reproducibility matters more than
 speed at this dimensionality (at most four axes).
@@ -42,9 +45,12 @@ RATE_TIE_ATOL = 1e-12
 # point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
 # Search box (G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX]) and
-# refinement: MULTISTART grid starts, each refined by at most MAX_SWEEPS
-# coordinate sweeps, which stop once a sweep gains <= RATE_REL_TOL relative;
-# every line search stops at PARAM_TOL of the axis span.
+# refinement: starts at the best grid point and the MULTISTART largest grid
+# rates, less duplicates and those within one T step of a kept start at the
+# same G index; each start is refined by at most MAX_SWEEPS coordinate sweeps,
+# which stop once a sweep gains <= RATE_REL_TOL relative; every line search
+# stops at PARAM_TOL of the axis span, and a box end it stops short of is
+# probed once.
 G_MIN = 0.01
 T_MIN = 0.01
 T_MAX = 0.999
@@ -182,6 +188,27 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
     return picked
 
 
+def _starts(rates: np.ndarray, grid_shape: tuple[int, ...], best_index: int) -> list[int]:
+    """Flat indices of the grid points refinement starts from.
+
+    The candidates are ``best_index``, then the MULTISTART largest rates. A
+    candidate is skipped when a start already kept has the same G index and
+    lies within one grid step of it on every T axis (clustering multistart):
+    its search would refine the same grid cell again. Candidates in another G
+    cell are kept, since the rate along G can have two maxima in one bracket.
+    With no T axes this drops exact duplicates only.
+    """
+    kept: list[tuple[int, ...]] = []
+    for index in (best_index, *_top_indices(rates, MULTISTART)):
+        cell = tuple(int(i) for i in np.unravel_index(index, grid_shape))
+        if not any(
+            cell[0] == other[0] and all(abs(a - b) <= 1 for a, b in zip(cell[1:], other[1:]))
+            for other in kept
+        ):
+            kept.append(cell)
+    return [int(np.ravel_multi_index(cell, grid_shape)) for cell in kept]
+
+
 def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, hi: float,
               abs_tol: float, current: float) -> tuple[float, float]:
     """Maximize along one coordinate inside [lo, hi]; returns (value, rate).
@@ -257,13 +284,17 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     def grid_params(index: int) -> np.ndarray:
         return np.array([axis[i] for axis, i in zip(axes, np.unravel_index(index, grid_shape))])
 
+    def rate_at(point: np.ndarray) -> float:
+        """The grid's rate where point is a grid point, else one evaluation."""
+        cell = [int(np.searchsorted(axis, value)) for axis, value in zip(axes, point)]
+        if all(i < len(axis) and axis[i] == value for axis, i, value in zip(axes, cell, point)):
+            return float(rates[np.ravel_multi_index(cell, grid_shape)])
+        return objective.point(point)
+
     best_rate = float(rates.max())
     # Lexicographically first point within the tie band (row-major ravel order).
     best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
-    starts = [best_index]
-    for idx in _top_indices(rates, MULTISTART):
-        if idx not in starts:
-            starts.append(idx)
+    starts = _starts(rates, grid_shape, best_index)
 
     lower = [G_MIN] + [T_MIN] * problem.n_transmissivities
     upper = [problem.effective_g_max] + [T_MAX] * problem.n_transmissivities
@@ -291,6 +322,15 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
                 hi_i = min(upper[axis], lo_i + width)
                 abs_tol = PARAM_TOL * (upper[axis] - lower[axis])
                 value, rate = _line_max(objective, params, axis, lo_i, hi_i, abs_tol, current)
+                # The search stops 2 * tol1 short of a bracket end: when the
+                # incumbent lies that close to a box end, probe the end once.
+                end = min(lower[axis], upper[axis], key=lambda bound: abs(value - bound))
+                if 0.0 < abs(value - end) <= 2.0 * (_SQRT_EPS * abs(value) + abs_tol / 3.0):
+                    probe = params.copy()
+                    probe[axis] = end
+                    end_rate = rate_at(probe)
+                    if end_rate > rate:
+                        value, rate = end, end_rate
                 if rate > current:
                     current = rate
                     params[axis] = value

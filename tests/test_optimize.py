@@ -1,6 +1,8 @@
 """Optimizer behavior: grid, refinement, determinism, flags."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from mmcvqkd.optimize import (
     OptimizationProblem,
     _grid_axes,
     _line_max,
+    _starts,
     _top_indices,
     optimize,
 )
@@ -201,11 +204,11 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
     [
         (OpKind.PC1, 22.0, False, (
             "0x1.23c77ad01c58cp-9", "0x1.e1d9ca078e7bep+0",
-            ("0x1.ff7ced916872bp-1",) * 3, 390721,
+            ("0x1.ff7ced916872bp-1",) * 3, 390694,
         )),
         (OpKind.PC0, 30.0, True, (
             "0x1.7755b8bd61be4p-12", "0x1.912085ebba058p+1",
-            ("0x1.81e7f9e6f5a73p-1", "0x1.c7937355d8866p-1", "0x1.ff7ced916872bp-1"), 390793,
+            ("0x1.81e7f9e6f5a73p-1", "0x1.c7937355d8866p-1", "0x1.ff7ced916872bp-1"), 390745,
         )),
     ],
 )
@@ -319,6 +322,81 @@ def test_top_indices_match_reversed_stable_argsort(size):
         expected = np.argsort(rates, kind="stable")[::-1][:MULTISTART].tolist()
         assert _top_indices(rates, MULTISTART) == expected
         assert np.array_equal(rates, before)
+
+
+def _kept_cells(rates, best_cell):
+    shape = rates.shape
+    best_index = int(np.ravel_multi_index(best_cell, shape))
+    starts = _starts(rates.ravel(), shape, best_index)
+    return [tuple(int(i) for i in np.unravel_index(index, shape)) for index in starts]
+
+
+class TestStarts:
+    def test_t_neighbour_at_the_same_g_is_skipped(self):
+        rates = np.zeros((5, 5))
+        rates[2, 2], rates[2, 3], rates[3, 2] = 3.0, 2.0, 1.0
+        assert _kept_cells(rates, (2, 2)) == [(2, 2), (3, 2)]
+        # Diagonal T steps are one step away too; two steps are not.
+        rates = np.zeros((4, 4, 4))
+        rates[1, 1, 1], rates[1, 2, 0], rates[1, 3, 1] = 3.0, 2.0, 1.0
+        assert _kept_cells(rates, (1, 1, 1)) == [(1, 1, 1), (1, 3, 1)]
+
+    def test_g_neighbour_is_kept(self):
+        rates = np.zeros((5, 5))
+        rates[2, 2], rates[1, 2], rates[3, 3] = 3.0, 2.0, 1.0
+        assert _kept_cells(rates, (2, 2)) == [(2, 2), (1, 2), (3, 3)]
+
+    def test_plateau_starts_two_t_steps_apart_are_kept(self):
+        # A plateau over the whole T axis at the top G: the tie rule picks
+        # (24, 0), the multistart (24, 24), (24, 23), (24, 22).
+        rates = np.zeros((25, 25))
+        rates[24, :] = 1.0
+        assert _kept_cells(rates, (24, 0)) == [(24, 0), (24, 24), (24, 22)]
+
+    def test_one_axis_grid_drops_only_exact_duplicates(self):
+        rates = np.array([0.0, 1.0, 3.0, 2.0, 3.0])
+        assert _starts(rates, rates.shape, 2) == [2, 4, 3]
+        assert _starts(np.zeros(3), (3,), 0) == [0, 2, 1]
+
+
+def test_second_g_maximum_in_one_bracket_is_kept():
+    # exp/0-PC/k_sel = 1/memory: the rate along G has two maxima inside one
+    # grid bracket. The start in the neighbouring G cell finds the better one,
+    # near G = 2.6449; dropping G-neighbours too loses 2.1e-2 relative here.
+    result = optimize(_problem(
+        spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC0, k_sel=1,
+        channel=ChannelParams.from_loss_db(33.75), rate=RateParams(memory=True),
+    ))
+    assert result.best_rate.hex() == "0x1.6c84cd2902b10p-14"
+    assert result.best_g == pytest.approx(2.6449, abs=1e-4)
+
+
+def test_box_end_is_reached():
+    # The line search stops 2 * tol1 short of a bracket end; the box-end probe
+    # takes T_2 the rest of the way to T_MAX (the cli_optimize_no_memory run).
+    problem = _problem(
+        spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC1, k_sel=2,
+        channel=ChannelParams.from_loss_db(22.0), rate=RateParams(memory=False),
+        grid_points=5,
+    )
+    result = optimize(problem)
+    assert result.best_t[1] == T_MAX
+    fixture = Path(__file__).parent / "data" / "cli_optimize_no_memory.json"
+    [record] = json.loads(fixture.read_text())
+    assert (result.best_g, list(result.best_t)) == (record["best_G"], record["best_T"])
+
+
+def test_box_end_on_the_grid_costs_no_evaluation():
+    # NONE at the gain cap: the best start sits on the cap, and the starts
+    # next to it stop 2 * tol1 short of it. Their probes find the cap on the
+    # grid and read its rate from there, so the optimum and the evaluation
+    # count are those of the search without the probe.
+    problem = _problem(
+        spectrum=make_spectrum("exp", 5, 2.0), channel=ChannelParams.from_loss_db(0.0)
+    )
+    result = optimize(problem)
+    assert result.best_g == problem.effective_g_max
+    assert (result.best_rate.hex(), result.evaluations) == ("0x1.b929fee1650bdp+1", 139)
 
 
 def test_memory_optimum_not_below_dense_scan():
