@@ -24,6 +24,12 @@ DEFAULT_EXCESS_NOISE = 0.1
 DEFAULT_DETECTOR_NOISE = 1.1
 DEFAULT_DETECTOR_EFFICIENCY = 0.68
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
+# Noise ceilings. With either one at its ceiling the batch kernel agrees with
+# the dense path to 1e-10 in the rate; past them the two drift apart (2.8e-8
+# at nu = 3e3), and far past them the kernel returns unphysical positive rates
+# or overflows.
+MAX_EXCESS_NOISE = 1e4
+MAX_DETECTOR_NOISE = 1e3
 
 BOB_MODE_INDEX = 3  # position of B in the (A, C, D, B) pre-measurement CM
 
@@ -38,8 +44,11 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.eta_e <= 1.0:
             raise ValueError(f"channel transmissivity must be in (0, 1], got {self.eta_e}")
-        if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError(f"excess noise must be finite and >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= MAX_EXCESS_NOISE:
+            raise ValueError(
+                f"excess noise must be in [0, MAX_EXCESS_NOISE = {MAX_EXCESS_NOISE:g}], "
+                f"got {self.epsilon}"
+            )
 
     @classmethod
     def from_loss_db(cls, loss_db: float, epsilon: float = DEFAULT_EXCESS_NOISE) -> "ChannelParams":
@@ -58,8 +67,11 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 < self.eta_d <= 1.0:
             raise ValueError(f"detection efficiency must be in (0, 1], got {self.eta_d}")
-        if not 1.0 <= self.nu < math.inf:
-            raise ValueError(f"thermal noise variance must be finite and >= 1, got {self.nu}")
+        if not 1.0 <= self.nu <= MAX_DETECTOR_NOISE:
+            raise ValueError(
+                f"thermal noise variance must be in [1, MAX_DETECTOR_NOISE = "
+                f"{MAX_DETECTOR_NOISE:g}], got {self.nu}"
+            )
 
 
 @dataclass(frozen=True)

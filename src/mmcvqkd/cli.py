@@ -31,7 +31,7 @@ from .keyrate import RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
 from .optimize import OptimizationProblem, check_bound_squeezing, optimize
 from .source import SourceParams, make_spectrum
-from .verification import run_all_checks
+from .verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL, DEFAULT_PROB_TOL, run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
 # A loss range may expand to at most this many points. A range beyond it is a
@@ -436,9 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser("verify", help="run the closed-form vs oracle cross-checks")
-    verify.add_argument("--tol-cm", type=float, default=1e-6, help="CM entry tolerance")
-    verify.add_argument("--tol-prob", type=float, default=1e-8, help="probability tolerance")
-    verify.add_argument("--tol-mi", type=float, default=1e-12, help="mutual-information tolerance")
+    verify.add_argument("--tol-cm", type=float, default=DEFAULT_CM_TOL, help="CM entry tolerance")
+    verify.add_argument("--tol-prob", type=float, default=DEFAULT_PROB_TOL, help="probability tolerance")
+    verify.add_argument("--tol-mi", type=float, default=DEFAULT_MI_TOL, help="mutual-information tolerance")
     return parser
 
 
@@ -466,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             if out_handle:
                 out_handle.close()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # domain validation (transmissivity, gain, ...)
+    except (UsageError, ValueError) as exc:  # ValueError: domain validation (gain, T, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

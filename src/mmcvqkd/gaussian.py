@@ -199,5 +199,4 @@ def homodyne_condition(cm: GeneralCM, measured_mode: int, quadrature: str = "x")
     keep = [i for i in range(2 * n) if i not in (2 * measured_mode, 2 * measured_mode + 1)]
     rest = cm.entries[np.ix_(keep, keep)]
     coupling = cm.entries[np.ix_(keep, [sel])]
-    conditional = rest - (coupling @ coupling.T) / variance
-    return GeneralCM((conditional + conditional.T) / 2.0)
+    return GeneralCM(rest - coupling @ coupling.T / variance)

@@ -182,7 +182,7 @@ def total_rate_batch(
     acts on the first k_sel supermodes, the rest stay untouched.
 
     * Point list: ``gains`` has shape (n,) and ``transmissivities`` shape
-      (n, k_sel), or (n,) for k_sel = 1; the result has shape (n,).
+      (n, k_sel); the result has shape (n,).
     * Open mesh: a tuple of k_sel arrays, one per operated supermode, each
       broadcastable against ``gains``, as from
       ``np.meshgrid(..., indexing="ij", sparse=True)``. Supermode k is then
@@ -228,8 +228,6 @@ def total_rate_batch(
             return [values[i:j].reshape(s) for i, j, s in zip(bounds, bounds[1:], shapes)]
     else:
         t = np.asarray(transmissivities, dtype=float)
-        if t.ndim == 1:
-            t = t[:, None]
         split = t.shape[1] if kind is not OpKind.NONE else 0
         t_operated = t.T
 

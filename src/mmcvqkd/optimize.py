@@ -4,13 +4,11 @@ The search space is the source gain G plus one beam-splitter transmissivity
 per operated supermode. A coarse tensor grid (log-spaced G, T spaced
 logarithmically toward 1 where subtraction-type optima concentrate) seeds a
 coordinate-wise refinement from the best few grid points: one seeded Brent
-line search per coordinate (parabolic steps with a golden-section fallback),
-then one probe of the box end when the search stops just short of it. A
-start that sits within one T step of a better start at the same G index is
-skipped (clustering multistart): it would refine the same grid cell again.
-Grid + refinement is preferred over gradient methods: the rate surface has
-ridges near physicality boundaries and reproducibility matters more than
-speed at this dimensionality (at most four axes).
+line search per coordinate (parabolic steps with a golden-section fallback)
+in a window as wide as the start's grid cell. Grid + refinement is preferred
+over gradient methods: the rate surface has ridges near physicality
+boundaries and reproducibility matters more than speed at this
+dimensionality (at most four axes).
 
 Sub-channel k depends only on (G * lambda_k, T_k), so the grid is evaluated
 on an open mesh: the kernel sees each operated supermode on its (G, T_k)
@@ -44,13 +42,10 @@ RATE_TIE_ATOL = 1e-12
 # at most grid_points^2 points, but the summed rate array holds every grid
 # point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
-# Search box (G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX]) and
-# refinement: starts at the best grid point and the MULTISTART largest grid
-# rates, less duplicates and those within one T step of a kept start at the
-# same G index; each start is refined by at most MAX_SWEEPS coordinate sweeps,
-# which stop once a sweep gains <= RATE_REL_TOL relative; every line search
-# stops at PARAM_TOL of the axis span, and a box end it stops short of is
-# probed once.
+# Search box: G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX].
+# Refinement runs from at most 1 + MULTISTART starts (``_starts``), each for at
+# most MAX_SWEEPS coordinate sweeps, which stop once a sweep gains <=
+# RATE_REL_TOL relative; a line search stops at PARAM_TOL of the axis span.
 G_MIN = 0.01
 T_MIN = 0.01
 T_MAX = 0.999
@@ -209,6 +204,11 @@ def _starts(rates: np.ndarray, grid_shape: tuple[int, ...], best_index: int) -> 
     return [int(np.ravel_multi_index(cell, grid_shape)) for cell in kept]
 
 
+def _brent_tol(x: float, abs_tol: float) -> float:
+    """Brent's local tolerance tol1 at x, as in scipy's fminbound."""
+    return _SQRT_EPS * abs(x) + abs_tol / 3.0
+
+
 def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, hi: float,
               abs_tol: float, current: float) -> tuple[float, float]:
     """Maximize along one coordinate inside [lo, hi]; returns (value, rate).
@@ -218,7 +218,7 @@ def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, h
     the incumbent only if it is strictly better, so the result is never below
     ``current`` and a flat line returns the seed. Termination is fminbound's:
     it stops once both ends of the bracket lie within 2 * tol1 of the
-    incumbent x, with tol1 = sqrt(eps) * |x| + abs_tol / 3.
+    incumbent x (``_brent_tol``).
     """
     point = params.copy()
     a, b = lo, hi
@@ -230,7 +230,7 @@ def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, h
     step = prior = 0.0
     while True:
         mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + abs_tol / 3.0
+        tol1 = _brent_tol(x, abs_tol)
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             return x, -fx
@@ -281,9 +281,6 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     rates = objective.batch(gains, tuple(transmissivities)).ravel()
     grid_shape = tuple(len(axis) for axis in axes)
 
-    def grid_params(index: int) -> np.ndarray:
-        return np.array([axis[i] for axis, i in zip(axes, np.unravel_index(index, grid_shape))])
-
     def rate_at(point: np.ndarray) -> float:
         """The grid's rate where point is a grid point, else one evaluation."""
         cell = [int(np.searchsorted(axis, value)) for axis, value in zip(axes, point)]
@@ -292,40 +289,41 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         return objective.point(point)
 
     best_rate = float(rates.max())
+    if not math.isfinite(best_rate):
+        first = np.unravel_index(int(np.flatnonzero(~np.isfinite(rates))[0]), grid_shape)
+        raise ValueError(
+            f"key rate is not finite on the coarse grid at G = {axes[0][first[0]]:.6g}; "
+            f"lower g_max (now {problem.effective_g_max:.6g})"
+        )
     # Lexicographically first point within the tie band (row-major ravel order).
     best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
     starts = _starts(rates, grid_shape, best_index)
 
     lower = [G_MIN] + [T_MIN] * problem.n_transmissivities
     upper = [problem.effective_g_max] + [T_MAX] * problem.n_transmissivities
-    best_params = grid_params(best_index)
+    abs_tols = [PARAM_TOL * (hi - lo) for lo, hi in zip(lower, upper)]
     best_refined = float(rates[best_index])
 
     for start in starts:
-        params = grid_params(start)
+        cell = np.unravel_index(start, grid_shape)
+        params = np.array([axis[i] for axis, i in zip(axes, cell)])
+        if start == best_index:  # the grid optimum stands unless a refined start beats it
+            best_params = params.copy()
         current = float(rates[start])
-        # Bracket each coordinate by its neighboring grid values.
-        brackets = []
-        for axis, grid in enumerate(axes):
-            pos = int(np.searchsorted(grid, params[axis]))
-            lo = grid[max(pos - 1, 0)]
-            hi = grid[min(pos + 1, len(grid) - 1)]
-            brackets.append((max(float(lo), lower[axis]), min(float(hi), upper[axis])))
+        # Each window spans the start's two grid neighbours, or one step at an
+        # axis end; the axes lie inside the box.
+        widths = [float(g[min(i + 1, len(g) - 1)] - g[max(i - 1, 0)]) for g, i in zip(axes, cell)]
         for _ in range(MAX_SWEEPS):
             previous = current
-            for axis, (lo, hi) in enumerate(brackets):
-                width = hi - lo
-                if width <= 0.0:
-                    continue
+            for axis, width in enumerate(widths):
                 center = float(params[axis])
-                lo_i = max(lower[axis], min(center - width / 2.0, upper[axis] - width))
-                hi_i = min(upper[axis], lo_i + width)
-                abs_tol = PARAM_TOL * (upper[axis] - lower[axis])
-                value, rate = _line_max(objective, params, axis, lo_i, hi_i, abs_tol, current)
-                # The search stops 2 * tol1 short of a bracket end: when the
+                lo = max(lower[axis], min(center - width / 2.0, upper[axis] - width))
+                hi = min(upper[axis], lo + width)
+                value, rate = _line_max(objective, params, axis, lo, hi, abs_tols[axis], current)
+                # The search stops 2 * tol1 short of a window end: when the
                 # incumbent lies that close to a box end, probe the end once.
                 end = min(lower[axis], upper[axis], key=lambda bound: abs(value - bound))
-                if 0.0 < abs(value - end) <= 2.0 * (_SQRT_EPS * abs(value) + abs_tol / 3.0):
+                if 0.0 < abs(value - end) <= 2.0 * _brent_tol(value, abs_tols[axis]):
                     probe = params.copy()
                     probe[axis] = end
                     end_rate = rate_at(probe)
@@ -340,15 +338,12 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
             best_refined = current
             best_params = params
 
-    g_span = problem.effective_g_max - G_MIN
     return OptimizationResult(
         best_rate=best_refined,
         best_g=float(best_params[0]),
         best_t=tuple(float(v) for v in best_params[1:]),
         evaluations=objective.evaluations,
         no_positive_key=bool(best_refined <= 0.0),
-        g_at_bound=bool(
-            (problem.effective_g_max - best_params[0]) <= 2.0 * PARAM_TOL * g_span
-        ),
+        g_at_bound=bool((problem.effective_g_max - best_params[0]) <= 2.0 * abs_tols[0]),
         trace=tuple(objective.trace) if problem.keep_trace else None,
     )

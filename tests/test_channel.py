@@ -7,6 +7,8 @@ import pytest
 
 from mmcvqkd.channel import (
     BOB_MODE_INDEX,
+    MAX_DETECTOR_NOISE,
+    MAX_EXCESS_NOISE,
     ChannelParams,
     DetectorParams,
     build_pipeline,
@@ -66,6 +68,14 @@ class TestChannelEvolve:
         for loss_db in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="loss"):
                 ChannelParams.from_loss_db(loss_db)
+
+    def test_noise_limits(self):
+        ChannelParams(eta_e=0.5, epsilon=MAX_EXCESS_NOISE)
+        DetectorParams(nu=MAX_DETECTOR_NOISE)
+        with pytest.raises(ValueError, match="MAX_EXCESS_NOISE = 10000"):
+            ChannelParams(eta_e=0.5, epsilon=math.nextafter(MAX_EXCESS_NOISE, math.inf))
+        with pytest.raises(ValueError, match="MAX_DETECTOR_NOISE = 1000"):
+            DetectorParams(nu=math.nextafter(MAX_DETECTOR_NOISE, math.inf))
 
 
 class TestDetectorAssemble:

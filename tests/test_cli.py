@@ -197,6 +197,22 @@ class TestOutputFormats:
         assert "gain 25.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
         assert "use gain <= 12.5352" in err
 
+    def test_non_finite_grid_is_named_error(self, capsys):
+        # r = 10 at the top of the G axis: 1 - tanh(r)^2 cancels, numpy warns
+        # and the grid holds NaN, which the optimizer names instead of indexing.
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code, out, err = run_cli(
+                ["optimize", "--op", "none", "--loss-db", "0", "--eps", "0", "--g-max", "10"],
+                capsys,
+            )
+        assert code == 2
+        assert out == ""
+        assert "not finite on the coarse grid at G = 10" in err and "lower g_max" in err
+
+    def test_bad_csv_header_is_named(self):
+        with pytest.raises(ValueError, match="unrecognized CSV header"):
+            cli.parse_csv_records("loss_db,eta_e\n10,0.1\n")
+
     def test_malformed_csv_row_is_named(self):
         header = cli.records_to_csv([])
         with pytest.raises(ValueError, match="CSV row 1: expected 13 cells, got 2"):
@@ -316,6 +332,55 @@ class TestNumericSettings:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field}:")
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "args, env, field",
+        [(["point"], {"MMCVQKD_MEMORY": "maybe"}, "MMCVQKD_MEMORY"),
+         (["point", "--loss-db", "1:2"], {}, "loss-db"),
+         (["point", "--loss-db", "a:2:1"], {}, "loss-db"),
+         (["point", "--loss-db", "abc"], {}, "loss-db"),
+         (["sweep", "--loss-db", "0:10:0"], {}, "loss-db"),
+         (["point", "--kmax", "0"], {}, "kmax"),
+         (["point", "--op", "0pc", "--t", "0.5,x"], {}, "t"),
+         (["point", "--op", "none", "--t", "0.5"], {}, "t"),
+         (["optimize", "--loss-db", "0:5:1"], {}, "loss-db"),
+         (["point"], {"MMCVQKD_OP": "bogus"}, "op"),
+         (["point", "--config", "missing.json"], {}, "config"),
+         (["point", "--config", "array.json"], {}, "config"),
+         (["point", "--nu", "1000.0000000000001"], {}, "MAX_DETECTOR_NOISE"),
+         (["optimize", "--nu", "1000.0000000000001"], {}, "MAX_DETECTOR_NOISE"),
+         (["point", "--eps", "10000.000000000002"], {}, "MAX_EXCESS_NOISE"),
+         (["optimize", "--eps", "10000.000000000002"], {}, "MAX_EXCESS_NOISE")],
+        ids=["memory-env", "loss-two-parts", "loss-bad-start", "loss-not-a-number",
+             "loss-zero-step", "kmax-zero", "t-not-a-number", "t-without-op",
+             "optimize-loss-range", "op-env", "config-missing", "config-array",
+             "point-nu-above-limit", "optimize-nu-above-limit",
+             "point-eps-above-limit", "optimize-eps-above-limit"],
+    )
+    def test_bad_input_exits_2_naming_the_field(
+        self, capsys, monkeypatch, tmp_path, args, env, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "array.json").write_text("[]")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "value, memory",
+        [("1", True), ("true", True), ("yes", True), ("on", True),
+         ("0", False), ("false", False), ("no", False), ("off", False)],
+    )
+    def test_memory_variable_accepts_each_spelling(self, capsys, monkeypatch, value, memory):
+        monkeypatch.setenv("MMCVQKD_MEMORY", value)
+        code, out, _ = run_cli(["point"], capsys)
+        assert code == 0
+        assert cli.parse_csv_records(out)[0].memory is memory
 
 
 # Output bytes of these runs are pinned in tests/data; a difference is an

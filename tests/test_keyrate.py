@@ -1,11 +1,18 @@
 """Mutual information, Holevo bound, sub-channel and total key rates."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mmcvqkd.channel import ChannelParams, DetectorParams, build_pipeline
+from mmcvqkd.channel import (
+    MAX_DETECTOR_NOISE,
+    MAX_EXCESS_NOISE,
+    ChannelParams,
+    DetectorParams,
+    build_pipeline,
+)
 from mmcvqkd.gaussian import TwoModeCM
 from mmcvqkd.keyrate import (
     RateParams,
@@ -25,6 +32,8 @@ IDEAL_CH = ChannelParams(eta_e=1.0, epsilon=0.0)
 IDEAL_DET = DetectorParams(eta_d=1.0, nu=1.0)
 DEFAULT_CH = ChannelParams.from_loss_db(10.0)
 DEFAULT_DET = DetectorParams()
+# Kernel against dense path, in bits per pulse.
+RATE_ATOL = 1e-10
 
 
 def _kernel_information(cm, ch, det):
@@ -182,6 +191,22 @@ class TestBatchPath:
                 np.array([float(a)]), np.array([float(b)]), np.array([float(c)]), ch, det, rate
             )
             assert float(batch[0]) == pytest.approx(scalar, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize(
+        "eps, nu", [(MAX_EXCESS_NOISE, 1.1), (0.1, MAX_DETECTOR_NOISE)], ids=["eps", "nu"]
+    )
+    def test_batch_matches_scalar_at_the_noise_limits(self, kind, eps, nu):
+        det = DetectorParams(nu=nu)
+        rate = RateParams()
+        for r, t, loss_db in itertools.product((0.05, 1.0, 2.5), (0.01, 0.5, 0.999), (0, 20, 35)):
+            ch = ChannelParams.from_loss_db(loss_db, epsilon=eps)
+            scalar = subchannel_rate(apply_op(NonGaussianOpSpec(kind, t), r), ch, det, rate)
+            a, b, c, _ = heralded_entries(kind, math.tanh(r) ** 2, t)
+            batch, _, _ = subchannel_rates_batch(
+                np.array([float(a)]), np.array([float(b)]), np.array([float(c)]), ch, det, rate
+            )
+            assert float(batch[0]) == pytest.approx(scalar, abs=RATE_ATOL)
 
     def test_multimode_total_factorizes(self, rng):
         # Batched totals equal the per-mode scalar path combined by hand.

@@ -1,5 +1,6 @@
 """Optimizer behavior: grid, refinement, determinism, flags."""
 
+import importlib
 import json
 import math
 from pathlib import Path
@@ -24,6 +25,9 @@ from mmcvqkd.optimize import (
     optimize,
 )
 from mmcvqkd.source import make_spectrum
+
+# The package re-exports the function ``optimize`` under the module's name.
+optimize_module = importlib.import_module("mmcvqkd.optimize")
 
 
 def _problem(**overrides):
@@ -125,6 +129,18 @@ class TestOptimize:
             _problem(op_kind=OpKind.PC0, k_sel=5)
         with pytest.raises(ValueError, match="g_max 40.0 .* MAX_BOUND_SQUEEZING"):
             _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
+
+    def test_non_finite_grid_names_its_first_g(self, monkeypatch):
+        def nan_from_fourth_g(*args, **kwargs):
+            rates = total_rate_batch(*args, **kwargs)
+            rates[3:] = np.nan
+            return rates
+
+        monkeypatch.setattr(optimize_module, "total_rate_batch", nan_from_fourth_g)
+        problem = _problem(grid_points=6)
+        g_axis = _grid_axes(problem)[0]
+        with pytest.raises(ValueError, match=rf"at G = {g_axis[3]:.6g}; lower g_max"):
+            optimize(problem)
 
 
 def _per_mode_reference(problem, gains, transmissivities):
