@@ -335,14 +335,13 @@ def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None
         clamp=settings["clamp"],
         grid_points=settings["grid_points"],
         g_max=settings["g_max"] or None,
-        keep_trace=trace_path is not None,
     )
     opt = optimize(problem)
     if trace_path is not None:
         payload = {
             "evaluations": opt.evaluations,
             "refinement_trace": [
-                {"params": list(params), "rate": rate} for params, rate in (opt.trace or ())
+                {"params": list(params), "rate": rate} for params, rate in opt.trace
             ],
         }
         with open(trace_path, "w", encoding="utf-8") as handle:

@@ -179,7 +179,8 @@ def total_rate_batch(
     """Protocol totals for batches of (G, T_1..T_ksel) parameter points.
 
     ``transmissivities`` comes in one of two layouts; the operation ``kind``
-    acts on the first k_sel supermodes, the rest stay untouched.
+    acts on the first k_sel supermodes, one per transmissivity given (none
+    for NONE), and the rest stay untouched.
 
     * Point list: ``gains`` has shape (n,) and ``transmissivities`` shape
       (n, k_sel); the result has shape (n,).
@@ -209,10 +210,9 @@ def total_rate_batch(
     gains = np.asarray(gains, dtype=float)
     xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
     if isinstance(transmissivities, tuple):
-        k_sel = len(transmissivities) if kind is not OpKind.NONE else 0
         shapes, flat_xi_sq, flat_t = [], [], []
         for k, xi_sq_k in enumerate(xi_sq):
-            if k < k_sel:
+            if k < len(transmissivities):
                 xi_sq_k, t_k = np.broadcast_arrays(
                     xi_sq_k, np.asarray(transmissivities[k], dtype=float)
                 )
@@ -228,7 +228,7 @@ def total_rate_batch(
             return [values[i:j].reshape(s) for i, j, s in zip(bounds, bounds[1:], shapes)]
     else:
         t = np.asarray(transmissivities, dtype=float)
-        split = t.shape[1] if kind is not OpKind.NONE else 0
+        split = t.shape[1]
         t_operated = t.T
 
         def per_mode(values):

@@ -20,6 +20,7 @@ evaluating every grid point in full.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,19 +84,20 @@ class OptimizationProblem:
     clamp: bool = True
     g_max: float | None = None
     grid_points: int = DEFAULT_GRID_POINTS
-    keep_trace: bool = False
 
     def __post_init__(self):
-        if self.op_kind is not OpKind.NONE and not 1 <= self.k_sel <= self.spectrum.k_max:
+        if self.op_kind is OpKind.NONE:  # operates no supermode
+            object.__setattr__(self, "k_sel", 0)
+        elif not 1 <= self.k_sel <= self.spectrum.k_max:
             raise ValueError(f"k_sel {self.k_sel} out of range for {self.spectrum.k_max} modes")
         if self.grid_points < 2:
             raise ValueError("grid must have at least 2 points per axis")
         if self.g_max is not None and not G_MIN < self.g_max < math.inf:
             raise ValueError(f"invalid G bounds ({G_MIN}, {self.g_max})")
         check_bound_squeezing("g_max", self.effective_g_max, self.spectrum)
-        if self.grid_points ** (1 + self.n_transmissivities) > MAX_GRID_SIZE:
+        if self.grid_points ** (1 + self.k_sel) > MAX_GRID_SIZE:
             raise ValueError(
-                f"coarse grid of {self.grid_points}^{1 + self.n_transmissivities} points "
+                f"coarse grid of {self.grid_points}^{1 + self.k_sel} points "
                 f"exceeds {MAX_GRID_SIZE}; lower grid_points or k_sel"
             )
 
@@ -104,10 +106,6 @@ class OptimizationProblem:
         if self.g_max is not None:
             return self.g_max
         return MAX_SUPERMODE_SQUEEZING / max(self.spectrum.lambdas)
-
-    @property
-    def n_transmissivities(self) -> int:
-        return 0 if self.op_kind is OpKind.NONE else self.k_sel
 
 
 @dataclass(frozen=True)
@@ -118,22 +116,23 @@ class OptimizationResult:
     evaluations: int
     no_positive_key: bool
     g_at_bound: bool
-    trace: tuple[tuple[tuple[float, ...], float], ...] | None = None
+    # Every (params, rate) evaluated after the grid, in order.
+    trace: tuple[tuple[tuple[float, ...], float], ...]
 
 
 class _Objective:
-    """Counts evaluations and optionally records (params, rate) pairs."""
+    """The only way a solve evaluates the rate: ``grid`` once, then ``point``
+    (one kernel call, appended to the trace) or ``at`` (a grid read if it can)."""
 
     def __init__(self, problem: OptimizationProblem):
         self.problem = problem
-        self.evaluations = 0
         self.trace: list[tuple[tuple[float, ...], float]] = []
 
-    def batch(
+    def _rates(
         self, gains: np.ndarray, transmissivities: np.ndarray | tuple[np.ndarray, ...]
     ) -> np.ndarray:
         p = self.problem
-        rates = total_rate_batch(
+        return total_rate_batch(
             p.spectrum.lambdas,
             p.op_kind,
             gains,
@@ -143,26 +142,35 @@ class _Objective:
             p.rate,
             clamp=p.clamp,
         )
-        self.evaluations += rates.size
-        return rates
+
+    def grid(self, axes: list[np.ndarray]) -> np.ndarray:
+        """Rates on the open mesh of ``axes``, shaped like the grid."""
+        self.axes = axes
+        gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
+        self.rates = self._rates(gains, tuple(transmissivities))
+        return self.rates
 
     def point(self, params: np.ndarray) -> float:
-        rate = float(
-            self.batch(np.array([params[0]]), np.array([params[1:]]))[0]
-        )
-        if self.problem.keep_trace:
-            self.trace.append((tuple(params), rate))
+        rate = float(self._rates(np.array([params[0]]), np.array([params[1:]]))[0])
+        self.trace.append((tuple(params), rate))
         return rate
+
+    def at(self, params: np.ndarray) -> float:
+        """The grid's rate where params is a grid point, else ``point``."""
+        cell = tuple(int(np.searchsorted(axis, value)) for axis, value in zip(self.axes, params))
+        if all(i < len(axis) and axis[i] == value for axis, i, value in zip(self.axes, cell, params)):
+            return float(self.rates[cell])
+        return self.point(params)
 
 
 def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     n = problem.grid_points
     g_axis = np.geomspace(G_MIN, problem.effective_g_max, n)
     axes = [g_axis]
-    if problem.n_transmissivities:
+    if problem.k_sel:
         # Dense toward T_MAX: equal log spacing in (1 - T).
         t_axis = 1.0 - np.geomspace(1.0 - T_MAX, 1.0 - T_MIN, n)
-        axes.extend([t_axis[::-1].copy()] * problem.n_transmissivities)
+        axes.extend([t_axis[::-1].copy()] * problem.k_sel)
     return axes
 
 
@@ -209,23 +217,28 @@ def _brent_tol(x: float, abs_tol: float) -> float:
     return _SQRT_EPS * abs(x) + abs_tol / 3.0
 
 
-def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, hi: float,
-              abs_tol: float, current: float) -> tuple[float, float]:
-    """Maximize along one coordinate inside [lo, hi]; returns (value, rate).
+def _along(evaluate, params: np.ndarray, axis: int, value: float) -> float:
+    """``evaluate`` at params with params[axis] replaced by value."""
+    point = params.copy()
+    point[axis] = value
+    return evaluate(point)
+
+
+def _line_max(f, x: float, current: float, lo: float, hi: float, abs_tol: float) -> tuple[float, float]:
+    """Maximize f(x) inside [lo, hi]; returns (x, f(x)).
 
     Brent's bounded search (parabolic steps with a golden-section fallback),
-    seeded with params[axis] and its known rate ``current``. A step replaces
-    the incumbent only if it is strictly better, so the result is never below
+    seeded with x and its known value ``current``. A step replaces the
+    incumbent only if it is strictly better, so the result is never below
     ``current`` and a flat line returns the seed. Termination is fminbound's:
     it stops once both ends of the bracket lie within 2 * tol1 of the
     incumbent x (``_brent_tol``).
     """
-    point = params.copy()
     a, b = lo, hi
     # Minimizes -rate. x is the best point so far, w the second best and v the
     # previous w; ``prior`` is the step before last, or for a golden step the
     # part of the bracket it cuts into.
-    x = w = v = float(params[axis])
+    w = v = x
     fx = fw = fv = -current
     step = prior = 0.0
     while True:
@@ -255,8 +268,7 @@ def _line_max(objective: _Objective, params: np.ndarray, axis: int, lo: float, h
             prior = (a if x >= mid else b) - x
             step = _GOLDEN * prior
         u = x + (step if abs(step) >= tol1 else (tol1 if step >= 0.0 else -tol1))
-        point[axis] = u
-        fu = -objective.point(point)
+        fu = -f(u)
         if fu < fx:
             a, b = (x, b) if u >= x else (a, x)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
@@ -277,16 +289,9 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """
     objective = _Objective(problem)
     axes = _grid_axes(problem)
-    gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rates = objective.batch(gains, tuple(transmissivities)).ravel()
-    grid_shape = tuple(len(axis) for axis in axes)
-
-    def rate_at(point: np.ndarray) -> float:
-        """The grid's rate where point is a grid point, else one evaluation."""
-        cell = [int(np.searchsorted(axis, value)) for axis, value in zip(axes, point)]
-        if all(i < len(axis) and axis[i] == value for axis, i, value in zip(axes, cell, point)):
-            return float(rates[np.ravel_multi_index(cell, grid_shape)])
-        return objective.point(point)
+    grid = objective.grid(axes)
+    rates = grid.ravel()
+    grid_shape = grid.shape
 
     best_rate = float(rates.max())
     if not math.isfinite(best_rate):
@@ -299,8 +304,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
     starts = _starts(rates, grid_shape, best_index)
 
-    lower = [G_MIN] + [T_MIN] * problem.n_transmissivities
-    upper = [problem.effective_g_max] + [T_MAX] * problem.n_transmissivities
+    lower = [G_MIN] + [T_MIN] * problem.k_sel
+    upper = [problem.effective_g_max] + [T_MAX] * problem.k_sel
     abs_tols = [PARAM_TOL * (hi - lo) for lo, hi in zip(lower, upper)]
     best_refined = float(rates[best_index])
 
@@ -319,14 +324,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
                 center = float(params[axis])
                 lo = max(lower[axis], min(center - width / 2.0, upper[axis] - width))
                 hi = min(upper[axis], lo + width)
-                value, rate = _line_max(objective, params, axis, lo, hi, abs_tols[axis], current)
+                line = functools.partial(_along, objective.point, params, axis)
+                value, rate = _line_max(line, center, current, lo, hi, abs_tols[axis])
                 # The search stops 2 * tol1 short of a window end: when the
                 # incumbent lies that close to a box end, probe the end once.
                 end = min(lower[axis], upper[axis], key=lambda bound: abs(value - bound))
                 if 0.0 < abs(value - end) <= 2.0 * _brent_tol(value, abs_tols[axis]):
-                    probe = params.copy()
-                    probe[axis] = end
-                    end_rate = rate_at(probe)
+                    end_rate = _along(objective.at, params, axis, end)
                     if end_rate > rate:
                         value, rate = end, end_rate
                 if rate > current:
@@ -342,8 +346,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         best_rate=best_refined,
         best_g=float(best_params[0]),
         best_t=tuple(float(v) for v in best_params[1:]),
-        evaluations=objective.evaluations,
+        evaluations=rates.size + len(objective.trace),
         no_positive_key=bool(best_refined <= 0.0),
         g_at_bound=bool((problem.effective_g_max - best_params[0]) <= 2.0 * abs_tols[0]),
-        trace=tuple(objective.trace) if problem.keep_trace else None,
+        trace=tuple(objective.trace),
     )

@@ -19,6 +19,7 @@ from mmcvqkd.optimize import (
     T_MIN,
     OptimizationProblem,
     _grid_axes,
+    _Objective,
     _line_max,
     _starts,
     _top_indices,
@@ -102,12 +103,36 @@ class TestOptimize:
         assert first.best_t == second.best_t
         assert first.evaluations == second.evaluations
 
-    def test_trace_recorded_on_request(self):
-        result = optimize(_problem(keep_trace=True))
-        assert result.trace
-        params, rate = result.trace[0]
-        assert len(params) == 1 and isinstance(rate, float)
-        assert result.evaluations >= len(result.trace)
+    def test_trace_returned_without_a_flag(self):
+        for overrides in ({}, dict(op_kind=OpKind.PS1, k_sel=2, grid_points=6)):
+            problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), **overrides)
+            result = optimize(problem)
+            assert result.trace
+            params, rate = result.trace[0]
+            assert len(params) == 1 + problem.k_sel and isinstance(rate, float)
+            grid_size = problem.grid_points ** (1 + problem.k_sel)
+            assert result.evaluations == grid_size + len(result.trace)
+
+    def test_none_stores_k_sel_zero(self):
+        # NONE operates no supermode, whatever k_sel says.
+        problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), k_sel=3)
+        assert problem.k_sel == 0
+        assert optimize(problem) == optimize(_problem(spectrum=make_spectrum("exp", 5, 2.0)))
+
+    def test_at_a_grid_point_costs_no_evaluation(self):
+        problem = _problem(
+            spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC1, k_sel=2, grid_points=5
+        )
+        objective = _Objective(problem)
+        axes = _grid_axes(problem)
+        rates = objective.grid(axes)
+        on_grid = np.array([axes[0][3], axes[1][4], axes[2][0]])
+        assert objective.at(on_grid) == rates[3, 4, 0]
+        assert objective.trace == []
+        off_grid = on_grid.copy()
+        off_grid[1] = 0.5 * (axes[1][3] + axes[1][4])
+        rate = objective.at(off_grid)
+        assert objective.trace == [(tuple(off_grid), rate)]
 
     def test_transmissivity_grid_dense_toward_one(self):
         problem = _problem(
@@ -146,7 +171,7 @@ class TestOptimize:
 def _per_mode_reference(problem, gains, transmissivities):
     """Point-list totals mode by mode: one heralded_entries and one
     subchannel_rates_batch call per supermode, summed in ascending order."""
-    k_sel = problem.n_transmissivities
+    k_sel = problem.k_sel
     args = (problem.channel, problem.detector, problem.rate)
     total, probability = 0.0, 1.0
     for k, lam in enumerate(problem.spectrum.lambdas):
@@ -245,27 +270,18 @@ def test_k3_optimum_pinned(kind, loss_db, memory, pinned):
     assert observed == pinned
 
 
-class _Line:
-    """Stands in for the optimizer's objective: one-point calls of f along axis 0."""
-
-    def __init__(self, f):
-        self.f = f
-        self.visited = []
-
-    def point(self, params):
-        self.visited.append(float(params[0]))
-        return float(self.f(params[0]))
-
-
 def _search(f, seed, lo=0.0, hi=1.0, abs_tol=1e-4):
     """(value, rate, evaluations) of one line search; every evaluated point
-    must lie in [lo, hi] and the caller's params must be left untouched."""
-    line = _Line(f)
-    params = np.array([seed, 0.5])
-    value, rate = _line_max(line, params, 0, lo, hi, abs_tol, float(f(seed)))
-    assert params.tolist() == [seed, 0.5]
-    assert all(lo <= x <= hi for x in line.visited)
-    return value, rate, len(line.visited)
+    must lie in [lo, hi]."""
+    visited = []
+
+    def line(x):
+        visited.append(x)
+        return float(f(x))
+
+    value, rate = _line_max(line, seed, float(f(seed)), lo, hi, abs_tol)
+    assert all(lo <= x <= hi for x in visited)
+    return value, rate, len(visited)
 
 
 class TestLineMax:
@@ -437,7 +453,6 @@ def test_refinement_stays_in_the_box():
     problem = _problem(
         spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC0, k_sel=2,
         channel=ChannelParams.from_loss_db(30.0), rate=RateParams(memory=True),
-        keep_trace=True,
     )
     result = optimize(problem)
     assert len(result.trace) == result.evaluations - problem.grid_points**3
