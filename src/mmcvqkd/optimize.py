@@ -168,9 +168,11 @@ def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     g_axis = np.geomspace(G_MIN, problem.effective_g_max, n)
     axes = [g_axis]
     if problem.k_sel:
-        # Dense toward T_MAX: equal log spacing in (1 - T).
-        t_axis = 1.0 - np.geomspace(1.0 - T_MAX, 1.0 - T_MIN, n)
-        axes.extend([t_axis[::-1].copy()] * problem.k_sel)
+        # Dense toward T_MAX: equal log spacing in (1 - T). 1 - (1 - T_MIN)
+        # rounds above T_MIN, so the ends are set to the box ends.
+        t_axis = 1.0 - np.geomspace(1.0 - T_MAX, 1.0 - T_MIN, n)[::-1]
+        t_axis[[0, -1]] = T_MIN, T_MAX
+        axes.extend([t_axis] * problem.k_sel)
     return axes
 
 

@@ -139,11 +139,20 @@ class TestOptimize:
             spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC0, k_sel=1
         )
         t_axis = _grid_axes(problem)[1]
-        assert t_axis[0] == pytest.approx(T_MIN)
-        assert t_axis[-1] == pytest.approx(T_MAX)
         assert np.all(np.diff(t_axis) > 0)
         # spacing shrinks toward T = 1
         assert np.diff(t_axis)[-1] < np.diff(t_axis)[0]
+
+    def test_axis_ends_are_the_box_ends(self):
+        problem = _problem(
+            spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PS1, k_sel=2,
+            channel=ChannelParams.from_loss_db(30.0),
+        )
+        g_axis, *t_axes = _grid_axes(problem)
+        assert (g_axis[0], g_axis[-1]) == (G_MIN, problem.effective_g_max)
+        assert all((t_axis[0], t_axis[-1]) == (T_MIN, T_MAX) for t_axis in t_axes)
+        # Both operated supermodes clamp to 0 here and the optimum sits at T_MIN.
+        assert optimize(problem).best_t == (T_MIN, T_MIN)
 
     def test_invalid_problems_rejected(self):
         with pytest.raises(ValueError, match="k_sel"):
