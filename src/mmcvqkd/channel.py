@@ -24,12 +24,12 @@ DEFAULT_EXCESS_NOISE = 0.1
 DEFAULT_DETECTOR_NOISE = 1.1
 DEFAULT_DETECTOR_EFFICIENCY = 0.68
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
-# Noise ceilings. With either one at its ceiling the batch kernel agrees with
-# the dense path to 1e-10 in the rate; past them the two drift apart (2.8e-8
-# at nu = 3e3), and far past them the kernel returns unphysical positive rates
-# or overflows.
-MAX_EXCESS_NOISE = 1e4
-MAX_DETECTOR_NOISE = 1e3
+# Noise ceilings. At every corner of the box they span, the batch kernel
+# agrees with the dense path to 2e-11 in the rate; past them the two drift
+# apart (2.2e-10 at epsilon = 0, nu = 100, and 9.3e-9 at nu = 1e3), and far
+# past them the kernel returns unphysical positive rates or overflows.
+MAX_EXCESS_NOISE = 1e3
+MAX_DETECTOR_NOISE = 50.0
 
 BOB_MODE_INDEX = 3  # position of B in the (A, C, D, B) pre-measurement CM
 

@@ -349,10 +349,10 @@ class TestBoundaryChecks:
          (["point"], {"MMCVQKD_OP": "bogus"}, "op"),
          (["point", "--config", "missing.json"], {}, "config"),
          (["point", "--config", "array.json"], {}, "config"),
-         (["point", "--nu", "1000.0000000000001"], {}, "MAX_DETECTOR_NOISE"),
-         (["optimize", "--nu", "1000.0000000000001"], {}, "MAX_DETECTOR_NOISE"),
-         (["point", "--eps", "10000.000000000002"], {}, "MAX_EXCESS_NOISE"),
-         (["optimize", "--eps", "10000.000000000002"], {}, "MAX_EXCESS_NOISE")],
+         (["point", "--nu", "50.00000000000001"], {}, "MAX_DETECTOR_NOISE"),
+         (["optimize", "--nu", "50.00000000000001"], {}, "MAX_DETECTOR_NOISE"),
+         (["point", "--eps", "1000.0000000000001"], {}, "MAX_EXCESS_NOISE"),
+         (["optimize", "--eps", "1000.0000000000001"], {}, "MAX_EXCESS_NOISE")],
         ids=["memory-env", "loss-two-parts", "loss-bad-start", "loss-not-a-number",
              "loss-zero-step", "kmax-zero", "t-not-a-number", "t-without-op",
              "optimize-loss-range", "op-env", "config-missing", "config-array",

@@ -194,7 +194,16 @@ class TestBatchPath:
 
     @pytest.mark.parametrize("kind", list(OpKind))
     @pytest.mark.parametrize(
-        "eps, nu", [(MAX_EXCESS_NOISE, 1.1), (0.1, MAX_DETECTOR_NOISE)], ids=["eps", "nu"]
+        "eps, nu",
+        [
+            (MAX_EXCESS_NOISE, 1.1),
+            (0.1, MAX_DETECTOR_NOISE),
+            # The corners of the noise box.
+            (0.0, MAX_DETECTOR_NOISE),
+            (MAX_EXCESS_NOISE, MAX_DETECTOR_NOISE),
+            (MAX_EXCESS_NOISE, 1.0),
+        ],
+        ids=["eps", "nu", "no-eps-max-nu", "max-eps-max-nu", "max-eps-min-nu"],
     )
     def test_batch_matches_scalar_at_the_noise_limits(self, kind, eps, nu):
         det = DetectorParams(nu=nu)
