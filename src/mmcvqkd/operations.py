@@ -102,20 +102,15 @@ def heralded_entries(kind: OpKind, xi_sq, t):
         c = 2.0 * np.sqrt(u) / one_minus_u
         p = (1.0 - xi_sq) / one_minus_u
         return a, a, c, p
-    if kind is OpKind.PS1:
-        a = (3.0 + u) / one_minus_u
-        b = (1.0 + 3.0 * u) / one_minus_u
+    if kind in (OpKind.PS1, OpKind.PA1):
+        # 1-PA is the mirror image of 1-PS with the mode roles swapped; its
+        # heralding probability is larger by 1/xi^2 (adding needs no photon present).
+        larger = (3.0 + u) / one_minus_u
+        smaller = (1.0 + 3.0 * u) / one_minus_u
         c = 4.0 * np.sqrt(u) / one_minus_u
-        p = xi_sq * (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
-        return a, b, c, p
-    if kind is OpKind.PA1:
-        # Mirror image of 1-PS with the mode roles swapped; the heralding
-        # probability is larger by 1/xi^2 (adding needs no photon present).
-        a = (1.0 + 3.0 * u) / one_minus_u
-        b = (3.0 + u) / one_minus_u
-        c = 4.0 * np.sqrt(u) / one_minus_u
-        p = (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
-        return a, b, c, p
+        if kind is OpKind.PS1:
+            return larger, smaller, c, xi_sq * (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
+        return smaller, larger, c, (1.0 - xi_sq) * (1.0 - t) / one_minus_u**2
     # 1-PC. Shared denominator (1 - u) * (t + xi^2 (1 - 4t + t^2) + xi^4 t).
     t_sq = t**2
     xi_4 = xi_sq**2
