@@ -124,24 +124,13 @@ class _Objective:
     """The only way a solve evaluates the rate: ``grid`` once, then ``point``
     (one kernel call, appended to the trace) or ``at`` (a grid read if it can)."""
 
-    def __init__(self, problem: OptimizationProblem):
-        self.problem = problem
-        self.trace: list[tuple[tuple[float, ...], float]] = []
-
-    def _rates(
-        self, gains: np.ndarray, transmissivities: np.ndarray | tuple[np.ndarray, ...]
-    ) -> np.ndarray:
-        p = self.problem
-        return total_rate_batch(
-            p.spectrum.lambdas,
-            p.op_kind,
-            gains,
-            transmissivities,
-            p.channel,
-            p.detector,
-            p.rate,
-            clamp=p.clamp,
+    def __init__(self, p: OptimizationProblem):
+        # Called with (gains, transmissivities) in either layout.
+        self._rates = functools.partial(
+            total_rate_batch, p.spectrum.lambdas, p.op_kind,
+            ch=p.channel, det=p.detector, rate=p.rate, clamp=p.clamp,
         )
+        self.trace: list[tuple[tuple[float, ...], float]] = []
 
     def grid(self, axes: list[np.ndarray]) -> np.ndarray:
         """Rates on the open mesh of ``axes``, shaped like the grid."""
