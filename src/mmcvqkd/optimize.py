@@ -124,11 +124,11 @@ class _Objective:
     """The only way a solve evaluates the rate: ``grid`` once, then ``point``
     (one kernel call, appended to the trace) or ``at`` (a grid read if it can)."""
 
-    def __init__(self, p: OptimizationProblem):
+    def __init__(self, problem: OptimizationProblem):
         # Called with (gains, transmissivities) in either layout.
         self._rates = functools.partial(
-            total_rate_batch, p.spectrum.lambdas, p.op_kind,
-            ch=p.channel, det=p.detector, rate=p.rate, clamp=p.clamp,
+            total_rate_batch, problem.spectrum.lambdas, problem.op_kind, ch=problem.channel,
+            det=problem.detector, rate=problem.rate, clamp=problem.clamp,
         )
         self.trace: list[tuple[tuple[float, ...], float]] = []
 

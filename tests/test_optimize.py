@@ -18,8 +18,8 @@ from mmcvqkd.optimize import (
     T_MAX,
     T_MIN,
     OptimizationProblem,
-    _grid_axes,
     _Objective,
+    _grid_axes,
     _line_max,
     _starts,
     _top_indices,
