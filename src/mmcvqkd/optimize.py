@@ -122,7 +122,7 @@ class OptimizationResult:
 
 class _Objective:
     """The only way a solve evaluates the rate: ``grid`` once, then ``point``
-    (one kernel call, appended to the trace) or ``at`` (a grid read if it can)."""
+    (one kernel call, appended to the trace)."""
 
     def __init__(self, problem: OptimizationProblem):
         # Called with (gains, transmissivities) in either layout.
@@ -134,22 +134,13 @@ class _Objective:
 
     def grid(self, axes: list[np.ndarray]) -> np.ndarray:
         """Rates on the open mesh of ``axes``, shaped like the grid."""
-        self.axes = axes
         gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
-        self.rates = self._rates(gains, tuple(transmissivities))
-        return self.rates
+        return self._rates(gains, tuple(transmissivities))
 
     def point(self, params: np.ndarray) -> float:
         rate = float(self._rates(np.array([params[0]]), np.array([params[1:]]))[0])
         self.trace.append((tuple(params), rate))
         return rate
-
-    def at(self, params: np.ndarray) -> float:
-        """The grid's rate where params is a grid point, else ``point``."""
-        cell = tuple(int(np.searchsorted(axis, value)) for axis, value in zip(self.axes, params))
-        if all(i < len(axis) and axis[i] == value for axis, i, value in zip(self.axes, cell, params)):
-            return float(self.rates[cell])
-        return self.point(params)
 
 
 def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
@@ -182,25 +173,25 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
     return picked
 
 
-def _starts(rates: np.ndarray, grid_shape: tuple[int, ...], best_index: int) -> list[int]:
-    """Flat indices of the grid points refinement starts from.
+def _starts(grid: np.ndarray, best: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Grid cells refinement starts from.
 
-    The candidates are ``best_index``, then the MULTISTART largest rates. A
+    The candidates are ``best``, then the MULTISTART largest rates. A
     candidate is skipped when a start already kept has the same G index and
     lies within one grid step of it on every T axis (clustering multistart):
     its search would refine the same grid cell again. Candidates in another G
     cell are kept, since the rate along G can have two maxima in one bracket.
     With no T axes this drops exact duplicates only.
     """
-    kept: list[tuple[int, ...]] = []
-    for index in (best_index, *_top_indices(rates, MULTISTART)):
-        cell = tuple(int(i) for i in np.unravel_index(index, grid_shape))
+    kept = [tuple(int(i) for i in best)]
+    for index in _top_indices(grid.ravel(), MULTISTART):
+        cell = tuple(int(i) for i in np.unravel_index(index, grid.shape))
         if not any(
             cell[0] == other[0] and all(abs(a - b) <= 1 for a, b in zip(cell[1:], other[1:]))
             for other in kept
         ):
             kept.append(cell)
-    return [int(np.ravel_multi_index(cell, grid_shape)) for cell in kept]
+    return kept
 
 
 def _brent_tol(x: float, abs_tol: float) -> float:
@@ -281,31 +272,28 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     objective = _Objective(problem)
     axes = _grid_axes(problem)
     grid = objective.grid(axes)
-    rates = grid.ravel()
-    grid_shape = grid.shape
 
-    best_rate = float(rates.max())
+    best_rate = float(grid.max())
     if not math.isfinite(best_rate):
-        first = np.unravel_index(int(np.flatnonzero(~np.isfinite(rates))[0]), grid_shape)
+        first = np.unravel_index(np.argmax(~np.isfinite(grid)), grid.shape)
         raise ValueError(
             f"key rate is not finite on the coarse grid at G = {axes[0][first[0]]:.6g}; "
             f"lower g_max (now {problem.effective_g_max:.6g})"
         )
-    # Lexicographically first point within the tie band (row-major ravel order).
-    best_index = int(np.nonzero(rates >= best_rate - RATE_TIE_ATOL)[0][0])
-    starts = _starts(rates, grid_shape, best_index)
+    # Lexicographically first point within the tie band (row-major order).
+    best = np.unravel_index(np.argmax(grid >= best_rate - RATE_TIE_ATOL), grid.shape)
+    starts = _starts(grid, best)
 
     lower = [G_MIN] + [T_MIN] * problem.k_sel
     upper = [problem.effective_g_max] + [T_MAX] * problem.k_sel
     abs_tols = [PARAM_TOL * (hi - lo) for lo, hi in zip(lower, upper)]
-    best_refined = float(rates[best_index])
+    best_refined = float(grid[starts[0]])
 
-    for start in starts:
-        cell = np.unravel_index(start, grid_shape)
+    for cell in starts:
         params = np.array([axis[i] for axis, i in zip(axes, cell)])
-        if start == best_index:  # the grid optimum stands unless a refined start beats it
+        if cell == starts[0]:  # the grid optimum stands unless a refined start beats it
             best_params = params.copy()
-        current = float(rates[start])
+        current = float(grid[cell])
         # Each window spans the start's two grid neighbours, or one step at an
         # axis end; the axes lie inside the box.
         widths = [float(g[min(i + 1, len(g) - 1)] - g[max(i - 1, 0)]) for g, i in zip(axes, cell)]
@@ -321,7 +309,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
                 # incumbent lies that close to a box end, probe the end once.
                 end = min(lower[axis], upper[axis], key=lambda bound: abs(value - bound))
                 if 0.0 < abs(value - end) <= 2.0 * _brent_tol(value, abs_tols[axis]):
-                    end_rate = _along(objective.at, params, axis, end)
+                    end_rate = line(end)
                     if end_rate > rate:
                         value, rate = end, end_rate
                 if rate > current:
@@ -337,7 +325,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         best_rate=best_refined,
         best_g=float(best_params[0]),
         best_t=tuple(float(v) for v in best_params[1:]),
-        evaluations=rates.size + len(objective.trace),
+        evaluations=grid.size + len(objective.trace),
         no_positive_key=bool(best_refined <= 0.0),
         g_at_bound=bool((problem.effective_g_max - best_params[0]) <= 2.0 * abs_tols[0]),
         trace=tuple(objective.trace),

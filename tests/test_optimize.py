@@ -18,7 +18,6 @@ from mmcvqkd.optimize import (
     T_MAX,
     T_MIN,
     OptimizationProblem,
-    _Objective,
     _grid_axes,
     _line_max,
     _starts,
@@ -118,21 +117,6 @@ class TestOptimize:
         problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), k_sel=3)
         assert problem.k_sel == 0
         assert optimize(problem) == optimize(_problem(spectrum=make_spectrum("exp", 5, 2.0)))
-
-    def test_at_a_grid_point_costs_no_evaluation(self):
-        problem = _problem(
-            spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC1, k_sel=2, grid_points=5
-        )
-        objective = _Objective(problem)
-        axes = _grid_axes(problem)
-        rates = objective.grid(axes)
-        on_grid = np.array([axes[0][3], axes[1][4], axes[2][0]])
-        assert objective.at(on_grid) == rates[3, 4, 0]
-        assert objective.trace == []
-        off_grid = on_grid.copy()
-        off_grid[1] = 0.5 * (axes[1][3] + axes[1][4])
-        rate = objective.at(off_grid)
-        assert objective.trace == [(tuple(off_grid), rate)]
 
     def test_transmissivity_grid_dense_toward_one(self):
         problem = _problem(
@@ -365,39 +349,32 @@ def test_top_indices_match_reversed_stable_argsort(size):
         assert np.array_equal(rates, before)
 
 
-def _kept_cells(rates, best_cell):
-    shape = rates.shape
-    best_index = int(np.ravel_multi_index(best_cell, shape))
-    starts = _starts(rates.ravel(), shape, best_index)
-    return [tuple(int(i) for i in np.unravel_index(index, shape)) for index in starts]
-
-
 class TestStarts:
     def test_t_neighbour_at_the_same_g_is_skipped(self):
         rates = np.zeros((5, 5))
         rates[2, 2], rates[2, 3], rates[3, 2] = 3.0, 2.0, 1.0
-        assert _kept_cells(rates, (2, 2)) == [(2, 2), (3, 2)]
+        assert _starts(rates, (2, 2)) == [(2, 2), (3, 2)]
         # Diagonal T steps are one step away too; two steps are not.
         rates = np.zeros((4, 4, 4))
         rates[1, 1, 1], rates[1, 2, 0], rates[1, 3, 1] = 3.0, 2.0, 1.0
-        assert _kept_cells(rates, (1, 1, 1)) == [(1, 1, 1), (1, 3, 1)]
+        assert _starts(rates, (1, 1, 1)) == [(1, 1, 1), (1, 3, 1)]
 
     def test_g_neighbour_is_kept(self):
         rates = np.zeros((5, 5))
         rates[2, 2], rates[1, 2], rates[3, 3] = 3.0, 2.0, 1.0
-        assert _kept_cells(rates, (2, 2)) == [(2, 2), (1, 2), (3, 3)]
+        assert _starts(rates, (2, 2)) == [(2, 2), (1, 2), (3, 3)]
 
     def test_plateau_starts_two_t_steps_apart_are_kept(self):
         # A plateau over the whole T axis at the top G: the tie rule picks
         # (24, 0), the multistart (24, 24), (24, 23), (24, 22).
         rates = np.zeros((25, 25))
         rates[24, :] = 1.0
-        assert _kept_cells(rates, (24, 0)) == [(24, 0), (24, 24), (24, 22)]
+        assert _starts(rates, (24, 0)) == [(24, 0), (24, 24), (24, 22)]
 
     def test_one_axis_grid_drops_only_exact_duplicates(self):
         rates = np.array([0.0, 1.0, 3.0, 2.0, 3.0])
-        assert _starts(rates, rates.shape, 2) == [2, 4, 3]
-        assert _starts(np.zeros(3), (3,), 0) == [0, 2, 1]
+        assert _starts(rates, (2,)) == [(2,), (4,), (3,)]
+        assert _starts(np.zeros(3), (0,)) == [(0,), (2,), (1,)]
 
 
 def test_second_g_maximum_in_one_bracket_is_kept():
@@ -427,17 +404,15 @@ def test_box_end_is_reached():
     assert (result.best_g, list(result.best_t)) == (record["best_G"], record["best_T"])
 
 
-def test_box_end_on_the_grid_costs_no_evaluation():
-    # NONE at the gain cap: the best start sits on the cap, and the starts
-    # next to it stop 2 * tol1 short of it. Their probes find the cap on the
-    # grid and read its rate from there, so the optimum and the evaluation
-    # count are those of the search without the probe.
+def test_none_reaches_the_gain_cap():
+    # NONE at 0 dB: the best start sits on the gain cap, and the starts next
+    # to it stop 2 * tol1 short of it; their box-end probes evaluate the cap.
     problem = _problem(
         spectrum=make_spectrum("exp", 5, 2.0), channel=ChannelParams.from_loss_db(0.0)
     )
     result = optimize(problem)
     assert result.best_g == problem.effective_g_max
-    assert (result.best_rate.hex(), result.evaluations) == ("0x1.b929fee1650bdp+1", 139)
+    assert (result.best_rate.hex(), result.evaluations) == ("0x1.b929fee1650bdp+1", 141)
 
 
 def test_memory_optimum_not_below_dense_scan():
