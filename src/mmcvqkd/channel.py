@@ -66,7 +66,7 @@ class DetectorParams:
 
     def __post_init__(self):
         if not 0.0 < self.eta_d <= 1.0:
-            raise ValueError(f"detection efficiency must be in (0, 1], got {self.eta_d}")
+            raise ValueError(f"eta_d (detection efficiency) must be in (0, 1], got {self.eta_d}")
         if not 1.0 <= self.nu <= MAX_DETECTOR_NOISE:
             raise ValueError(
                 f"thermal noise variance must be in [1, MAX_DETECTOR_NOISE = "

@@ -24,13 +24,16 @@ from typing import NamedTuple
 
 from .channel import (
     DEFAULT_ATTENUATION_DB_PER_KM,
+    DEFAULT_DETECTOR_EFFICIENCY,
+    DEFAULT_DETECTOR_NOISE,
+    DEFAULT_EXCESS_NOISE,
     ChannelParams,
     DetectorParams,
 )
-from .keyrate import RateParams, total_rate
+from .keyrate import DEFAULT_RECONCILIATION_EFFICIENCY, RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
-from .optimize import OptimizationProblem, check_bound_squeezing, optimize
-from .source import SourceParams, make_spectrum
+from .optimize import DEFAULT_GRID_POINTS, OptimizationProblem, check_bound_squeezing, optimize
+from .source import DEFAULT_DECAY, DEFAULT_K_MAX, SourceParams, make_spectrum
 from .verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL, DEFAULT_PROB_TOL, run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
@@ -53,8 +56,8 @@ class Setting(NamedTuple):
 
 SETTINGS = {
     "scenario": Setting(str, "single", choices=("single", "exp", "uniform")),
-    "decay": Setting(float, 2.0, "exp-scenario decay constant"),
-    "kmax": Setting(int, 5, "number of supermodes"),
+    "decay": Setting(float, DEFAULT_DECAY, "exp-scenario decay constant"),
+    "kmax": Setting(int, DEFAULT_K_MAX, "number of supermodes"),
     "ksel": Setting(int, 1, "supermodes receiving the operation"),
     "op": Setting(str, "none", choices=tuple(kind.value for kind in OpKind)),
     "memory": Setting(
@@ -62,16 +65,17 @@ SETTINGS = {
     ),
     "clamp": Setting(bool, True, "discard loss-making supermodes in the total"),
     "loss_db": Setting(str, "10", "channel loss in dB: single value or A:B:STEP"),
-    "eps": Setting(float, 0.1, "excess noise (input-referred)"),
-    "nu": Setting(float, 1.1, "detector thermal noise variance"),
-    "eta_d": Setting(float, 0.68, "detection efficiency"),
-    "eta_r": Setting(float, 0.95, "reconciliation efficiency"),
+    "eps": Setting(float, DEFAULT_EXCESS_NOISE, "excess noise (input-referred)"),
+    "nu": Setting(float, DEFAULT_DETECTOR_NOISE, "detector thermal noise variance"),
+    "eta_d": Setting(float, DEFAULT_DETECTOR_EFFICIENCY, "detection efficiency"),
+    "eta_r": Setting(float, DEFAULT_RECONCILIATION_EFFICIENCY, "reconciliation efficiency"),
     "attenuation": Setting(float, DEFAULT_ATTENUATION_DB_PER_KM, "fiber attenuation dB/km"),
     "out": Setting(str, "", "output path (default stdout)"),
     "format": Setting(str, "csv", choices=("csv", "json")),
     "workers": Setting(int, 1, "parallel sweep workers", commands=("sweep",)),
     "grid_points": Setting(
-        int, 25, "coarse grid points per optimization axis", commands=("sweep", "optimize")
+        int, DEFAULT_GRID_POINTS, "coarse grid points per optimization axis",
+        commands=("sweep", "optimize"),
     ),
     # 0 means "use the scenario default"
     "g_max": Setting(float, 0.0, "gain upper bound", commands=("sweep", "optimize")),

@@ -39,7 +39,7 @@ class RateParams:
 
     def __post_init__(self):
         if not 0.0 < self.eta_r <= 1.0:
-            raise ValueError(f"reconciliation efficiency must be in (0, 1], got {self.eta_r}")
+            raise ValueError(f"eta_r (reconciliation efficiency) must be in (0, 1], got {self.eta_r}")
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,13 @@ from .keyrate import RateParams, total_rate_batch
 from .operations import OpKind
 from .source import SupermodeSpectrum
 
-# Keep max_k r_k at or below ~2.5 (about 21.7 dB of squeezing) by default.
+# Bound on max_k r_k (about 21.7 dB of squeezing): the default gain cap and
+# the ceiling on an explicit one. Above it 1 - tanh(r)^2 ~ 4 exp(-2r), formed
+# by cancellation, costs agreement: at the corners of the noise box the n=1
+# kernel and the dense path differ by 1.75e-10 at r = 3, and from r ~ 4.2 the
+# dense record's two-mode covariance matrix fails its uncertainty gate.
 MAX_SUPERMODE_SQUEEZING = 2.5
 DEFAULT_GRID_POINTS = 25
-# Ceiling on max_k r_k for an explicit g_max. 1 - tanh(r)^2 ~ 4 exp(-2r) is
-# formed by cancellation: it keeps about 8 significant digits at r = 10, and
-# from r ~ 17.5 on the covariance entries turn into garbage, inf or NaN.
-MAX_BOUND_SQUEEZING = 10.0
 RATE_TIE_ATOL = 1e-12
 # Memory guard on the combined grid: the kernel only sees per-mode tables of
 # at most grid_points^2 points, but the summed rate array holds every grid
@@ -60,14 +60,14 @@ _SQRT_EPS = math.sqrt(2.2e-16)  # scipy's fminbound uses the same constant
 
 
 def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -> None:
-    """Reject a gain that squeezes the leading supermode past MAX_BOUND_SQUEEZING."""
-    peak = gain * max(spectrum.lambdas)
-    if peak > MAX_BOUND_SQUEEZING:
+    """Reject a gain that squeezes the leading supermode past MAX_SUPERMODE_SQUEEZING."""
+    lambda_1 = max(spectrum.lambdas)
+    limit = MAX_SUPERMODE_SQUEEZING / lambda_1
+    if gain > limit:
         raise ValueError(
-            f"{name} {gain} squeezes the leading supermode to r = {peak:.4g}, "
-            f"above the limit MAX_BOUND_SQUEEZING = {MAX_BOUND_SQUEEZING}, past which "
-            f"1 - tanh(r)^2 loses its precision; use {name} <= "
-            f"{MAX_BOUND_SQUEEZING / max(spectrum.lambdas):.6g}"
+            f"{name} {gain} squeezes the leading supermode to r = {gain * lambda_1:.4g}, "
+            f"above the limit MAX_SUPERMODE_SQUEEZING = {MAX_SUPERMODE_SQUEEZING}, past which "
+            f"1 - tanh(r)^2 loses its precision; use {name} <= {limit!r}"
         )
 
 
@@ -91,9 +91,9 @@ class OptimizationProblem:
         elif not 1 <= self.k_sel <= self.spectrum.k_max:
             raise ValueError(f"k_sel {self.k_sel} out of range for {self.spectrum.k_max} modes")
         if self.grid_points < 2:
-            raise ValueError("grid must have at least 2 points per axis")
+            raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
         if self.g_max is not None and not G_MIN < self.g_max < math.inf:
-            raise ValueError(f"invalid G bounds ({G_MIN}, {self.g_max})")
+            raise ValueError(f"g_max must be finite and above G_MIN = {G_MIN}, got {self.g_max}")
         check_bound_squeezing("g_max", self.effective_g_max, self.spectrum)
         if self.grid_points ** (1 + self.k_sel) > MAX_GRID_SIZE:
             raise ValueError(

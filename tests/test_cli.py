@@ -1,6 +1,7 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
+import math
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -11,6 +12,7 @@ from mmcvqkd import cli
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
+from mmcvqkd.optimize import MAX_SUPERMODE_SQUEEZING
 from mmcvqkd.source import SourceParams, make_spectrum
 
 DATA = Path(__file__).parent / "data"
@@ -185,7 +187,7 @@ class TestOutputFormats:
         )
         assert code == 2
         assert out == ""
-        assert "g_max 40.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
+        assert "g_max 40.0" in err and "MAX_SUPERMODE_SQUEEZING = 2.5" in err
 
     def test_saturating_point_gain_is_named_error(self, capsys):
         code, out, err = run_cli(
@@ -194,20 +196,30 @@ class TestOutputFormats:
         )
         assert code == 2
         assert out == ""
-        assert "gain 25.0" in err and "MAX_BOUND_SQUEEZING = 10.0" in err
-        assert "use gain <= 12.5352" in err
+        assert "gain 25.0" in err and "MAX_SUPERMODE_SQUEEZING = 2.5" in err
+        assert "use gain <= 3.133805027104284" in err
 
-    def test_non_finite_grid_is_named_error(self, capsys):
-        # r = 10 at the top of the G axis: 1 - tanh(r)^2 cancels, numpy warns
-        # and the grid holds NaN, which the optimizer names instead of indexing.
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            code, out, err = run_cli(
-                ["optimize", "--op", "none", "--loss-db", "0", "--eps", "0", "--g-max", "10"],
-                capsys,
-            )
+    @pytest.mark.parametrize("command, flag", [("point", "--gain"), ("optimize", "--g-max")])
+    def test_squeezing_ceiling_holds_at_its_own_value(self, capsys, command, flag):
+        # The single spectrum puts the whole gain on one supermode: G = r.
+        args = [command, "--scenario", "single", "--op", "none", "--loss-db", "0", flag]
+        assert run_cli(args + [repr(MAX_SUPERMODE_SQUEEZING)], capsys)[0] == 0
+        above = math.nextafter(MAX_SUPERMODE_SQUEEZING, math.inf)
+        code, out, err = run_cli(args + [repr(above)], capsys)
         assert code == 2
         assert out == ""
-        assert "not finite on the coarse grid at G = 10" in err and "lower g_max" in err
+        assert "MAX_SUPERMODE_SQUEEZING = 2.5" in err
+
+    def test_non_finite_grid_is_named_error(self, capsys):
+        # r = 10 at the top of the G axis once left NaN on the grid; the
+        # squeezing ceiling now names the bound before the grid is evaluated.
+        code, out, err = run_cli(
+            ["optimize", "--op", "none", "--loss-db", "0", "--eps", "0", "--g-max", "10"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "g_max 10.0" in err and "MAX_SUPERMODE_SQUEEZING = 2.5" in err
 
     def test_bad_csv_header_is_named(self):
         with pytest.raises(ValueError, match="unrecognized CSV header"):
@@ -352,12 +364,18 @@ class TestBoundaryChecks:
          (["point", "--nu", "50.00000000000001"], {}, "MAX_DETECTOR_NOISE"),
          (["optimize", "--nu", "50.00000000000001"], {}, "MAX_DETECTOR_NOISE"),
          (["point", "--eps", "1000.0000000000001"], {}, "MAX_EXCESS_NOISE"),
-         (["optimize", "--eps", "1000.0000000000001"], {}, "MAX_EXCESS_NOISE")],
+         (["optimize", "--eps", "1000.0000000000001"], {}, "MAX_EXCESS_NOISE"),
+         (["optimize", "--grid-points", "1"], {}, "grid_points"),
+         (["optimize", "--g-max", "0.005"], {}, "g_max"),
+         (["point", "--eta-r", "1.5"], {}, "eta_r"),
+         (["point", "--eta-d", "0"], {}, "eta_d"),
+         (["point", "--gain", "-1"], {}, "gain")],
         ids=["memory-env", "loss-two-parts", "loss-bad-start", "loss-not-a-number",
              "loss-zero-step", "kmax-zero", "t-not-a-number", "t-without-op",
              "optimize-loss-range", "op-env", "config-missing", "config-array",
              "point-nu-above-limit", "optimize-nu-above-limit",
-             "point-eps-above-limit", "optimize-eps-above-limit"],
+             "point-eps-above-limit", "optimize-eps-above-limit", "grid-points-one",
+             "g-max-below-g-min", "eta-r-above-one", "eta-d-zero", "gain-negative"],
     )
     def test_bad_input_exits_2_naming_the_field(
         self, capsys, monkeypatch, tmp_path, args, env, field

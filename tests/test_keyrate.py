@@ -24,6 +24,7 @@ from mmcvqkd.keyrate import (
     total_rate_batch,
 )
 from mmcvqkd.operations import NonGaussianOpSpec, OpKind, apply_op, apply_to_supermodes, heralded_entries
+from mmcvqkd.optimize import MAX_SUPERMODE_SQUEEZING
 from mmcvqkd.source import SourceParams, epr_cm, make_spectrum
 
 from conftest import entangling_cloner_chi
@@ -208,7 +209,9 @@ class TestBatchPath:
     def test_batch_matches_scalar_at_the_noise_limits(self, kind, eps, nu):
         det = DetectorParams(nu=nu)
         rate = RateParams()
-        for r, t, loss_db in itertools.product((0.05, 1.0, 2.5), (0.01, 0.5, 0.999), (0, 20, 35)):
+        for r, t, loss_db in itertools.product(
+            (0.05, 1.0, MAX_SUPERMODE_SQUEEZING), (0.01, 0.5, 0.999), (0, 20, 35)
+        ):
             ch = ChannelParams.from_loss_db(loss_db, epsilon=eps)
             scalar = subchannel_rate(apply_op(NonGaussianOpSpec(kind, t), r), ch, det, rate)
             a, b, c, _ = heralded_entries(kind, math.tanh(r) ** 2, t)

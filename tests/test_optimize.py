@@ -145,7 +145,7 @@ class TestOptimize:
             _problem(op_kind=OpKind.PC0, k_sel=6)
         with pytest.raises(ValueError, match="coarse grid"):
             _problem(op_kind=OpKind.PC0, k_sel=5)
-        with pytest.raises(ValueError, match="g_max 40.0 .* MAX_BOUND_SQUEEZING"):
+        with pytest.raises(ValueError, match="g_max 40.0 .* MAX_SUPERMODE_SQUEEZING = 2.5"):
             _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
 
     def test_non_finite_grid_names_its_first_g(self, monkeypatch):
