@@ -1,7 +1,6 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
-import math
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,7 +11,6 @@ from mmcvqkd import cli
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
-from mmcvqkd.optimize import MAX_SUPERMODE_SQUEEZING
 from mmcvqkd.source import SourceParams, make_spectrum
 
 DATA = Path(__file__).parent / "data"
@@ -200,15 +198,11 @@ class TestOutputFormats:
         assert "use gain <= 3.133805027104284" in err
 
     @pytest.mark.parametrize("command, flag", [("point", "--gain"), ("optimize", "--g-max")])
-    def test_squeezing_ceiling_holds_at_its_own_value(self, capsys, command, flag):
-        # The single spectrum puts the whole gain on one supermode: G = r.
-        args = [command, "--scenario", "single", "--op", "none", "--loss-db", "0", flag]
-        assert run_cli(args + [repr(MAX_SUPERMODE_SQUEEZING)], capsys)[0] == 0
-        above = math.nextafter(MAX_SUPERMODE_SQUEEZING, math.inf)
-        code, out, err = run_cli(args + [repr(above)], capsys)
-        assert code == 2
-        assert out == ""
-        assert "MAX_SUPERMODE_SQUEEZING = 2.5" in err
+    def test_gain_at_the_squeezing_ceiling_runs(self, capsys, command, flag):
+        # The single spectrum puts the whole gain on one supermode: G = r. The
+        # next float above 2.5 is rejected (TestBoundaryChecks).
+        args = [command, "--scenario", "single", "--op", "none", "--loss-db", "0", flag, "2.5"]
+        assert run_cli(args, capsys)[0] == 0
 
     def test_non_finite_grid_is_named_error(self, capsys):
         # r = 10 at the top of the G axis once left NaN on the grid; the
@@ -369,13 +363,16 @@ class TestBoundaryChecks:
          (["optimize", "--g-max", "0.005"], {}, "g_max"),
          (["point", "--eta-r", "1.5"], {}, "eta_r"),
          (["point", "--eta-d", "0"], {}, "eta_d"),
-         (["point", "--gain", "-1"], {}, "gain")],
+         (["point", "--gain", "-1"], {}, "gain"),
+         (["point", "--gain", "2.5000000000000004"], {}, "MAX_SUPERMODE_SQUEEZING = 2.5"),
+         (["optimize", "--g-max", "2.5000000000000004"], {}, "MAX_SUPERMODE_SQUEEZING = 2.5")],
         ids=["memory-env", "loss-two-parts", "loss-bad-start", "loss-not-a-number",
              "loss-zero-step", "kmax-zero", "t-not-a-number", "t-without-op",
              "optimize-loss-range", "op-env", "config-missing", "config-array",
              "point-nu-above-limit", "optimize-nu-above-limit",
              "point-eps-above-limit", "optimize-eps-above-limit", "grid-points-one",
-             "g-max-below-g-min", "eta-r-above-one", "eta-d-zero", "gain-negative"],
+             "g-max-below-g-min", "eta-r-above-one", "eta-d-zero", "gain-negative",
+             "point-gain-above-limit", "optimize-g-max-above-limit"],
     )
     def test_bad_input_exits_2_naming_the_field(
         self, capsys, monkeypatch, tmp_path, args, env, field
