@@ -174,7 +174,7 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
 
 
 def _starts(grid: np.ndarray, best: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Grid cells refinement starts from.
+    """Grid cells refinement starts from, ``best`` first.
 
     The candidates are ``best``, then the MULTISTART largest rates. A
     candidate is skipped when a start already kept has the same G index and
