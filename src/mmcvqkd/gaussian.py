@@ -153,29 +153,22 @@ def entropy_g(x) -> np.ndarray | float:
 
     g(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), continuous at
     x = 1 where it vanishes. Values within PHYSICALITY_TOL below 1 are rounding
-    noise from near-pure states and are clamped to exactly 1; anything lower is
-    rejected.
+    noise from near-pure states and give exactly g(1) = 0; anything lower is
+    rejected. A NaN passes through as NaN, but does not hide a low value
+    elsewhere in the array (``fmin`` skips NaN).
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 1.0 - PHYSICALITY_TOL):
-        raise UnphysicalStateError(
-            "unphysical symplectic eigenvalue", min_eigenvalue=float(arr.min())
-        )
-    out = entropy_g_clamped(arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    low = np.fmin.reduce(arr, axis=None, initial=np.inf)
+    if low < 1.0 - PHYSICALITY_TOL:
+        raise UnphysicalStateError("unphysical symplectic eigenvalue", min_eigenvalue=float(low))
+    arr = np.maximum(arr, 1.0)
+    hi = (arr + 1.0) / 2.0
+    lo = (arr - 1.0) / 2.0
+    positive = lo > 0.0
+    out = hi * np.log2(hi) - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
+    if np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def entropy_g_clamped(x: np.ndarray) -> np.ndarray:
-    """``entropy_g`` for arrays known physical up to rounding: values below 1
-    are clamped to 1 and there is no error path (the batch kernel's entropy)."""
-    x = np.maximum(x, 1.0)
-    hi = (x + 1.0) / 2.0
-    lo = (x - 1.0) / 2.0
-    out = hi * np.log2(hi)
-    positive = lo > 0.0
-    return out - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
 
 
 def homodyne_condition(cm: GeneralCM, measured_mode: int, quadrature: str = "x") -> GeneralCM:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelParams, DetectorParams, PipelineCMs, build_pipeline
-from .gaussian import entropy_g, entropy_g_clamped, symplectic_eigenvalues, two_mode_symplectic
+from .gaussian import entropy_g, symplectic_eigenvalues, two_mode_symplectic
 from .operations import OpKind, OpOutcome, heralded_entries
 
 DEFAULT_RECONCILIATION_EFFICIENCY = 0.95
@@ -118,7 +118,9 @@ def subchannel_rates_batch(
     split into decoupled x/p 3x3 blocks whose product yields the squared
     symplectic eigenvalues. The blocks are filled entry by entry (the
     detector's constant entries are Python floats), and all five symplectic
-    eigenvalues go through one entropy pass. A call therefore makes the same
+    eigenvalues go through one ``entropy_g`` pass, the dense path's entropy: an
+    eigenvalue below 1 - PHYSICALITY_TOL anywhere in the batch raises
+    ``UnphysicalStateError``, and a NaN passes through. A call makes the same
     number of array operations whatever the batch shape, and refinement's
     one-point evaluations pay little beyond the batched ``eigvals``.
     """
@@ -158,9 +160,9 @@ def subchannel_rates_batch(
     sigma_x = m_block + n_block - update
     sigma_p = m_block - n_block
     alphas_sq = np.linalg.eigvals(sigma_x @ sigma_p)
-    nus[..., 2:] = np.sqrt(np.maximum(alphas_sq.real, 1.0))
+    nus[..., 2:] = np.sqrt(alphas_sq.real)
 
-    entropies = entropy_g_clamped(nus)
+    entropies = entropy_g(nus)
     chi = (entropies[..., 0] + entropies[..., 1]) - entropies[..., 2:].sum(axis=-1)
     chi = np.where((chi > -CHI_CLAMP_TOL) & (chi < 0.0), 0.0, chi)
     return rate.eta_r * info - chi, info, chi

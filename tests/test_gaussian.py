@@ -1,5 +1,7 @@
 """Covariance-matrix primitives: symplectic spectra, entropy, conditioning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,13 @@ class TestEntropyG:
     def test_rejects_unphysical_argument(self):
         with pytest.raises(UnphysicalStateError):
             entropy_g(0.9)
+
+    def test_nan_passes_through_but_hides_no_unphysical_value(self):
+        assert math.isnan(entropy_g(math.nan))
+        values = entropy_g(np.array([math.nan, 1.0 - 1e-10, 3.0]))
+        assert math.isnan(values[0]) and values[1] == 0.0
+        with pytest.raises(UnphysicalStateError):
+            entropy_g(np.array([math.nan, 0.9]))
 
     def test_monotone_increasing(self):
         grid = np.linspace(1.001, 20.0, 100)
