@@ -32,10 +32,12 @@ from .operations import OpKind
 from .source import SupermodeSpectrum
 
 # Bound on max_k r_k (about 21.7 dB of squeezing): the default gain cap and
-# the ceiling on an explicit one. Above it 1 - tanh(r)^2 ~ 4 exp(-2r), formed
-# by cancellation, costs agreement: at the corners of the noise box the n=1
-# kernel and the dense path differ by 1.75e-10 at r = 3, and from r ~ 4.2 the
-# dense record's two-mode covariance matrix fails its uncertainty gate.
+# the ceiling on an explicit one. The n=1 kernel and the dense path drift
+# apart at the corners of the noise box: 1.24e-10 at r = 2.435, where the
+# kernel's eigvals returns the conditional symplectic eigenvalue that is
+# identically 1 about 1e-11 off in its square and g has unbounded slope at 1,
+# and 1.75e-10 at r = 3. From r ~ 4.2 the dense record's two-mode covariance
+# matrix fails its uncertainty gate.
 MAX_SUPERMODE_SQUEEZING = 2.5
 DEFAULT_GRID_POINTS = 25
 RATE_TIE_ATOL = 1e-12
@@ -67,7 +69,7 @@ def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -
         raise ValueError(
             f"{name} {gain} squeezes the leading supermode to r = {gain * lambda_1:.4g}, "
             f"above the limit MAX_SUPERMODE_SQUEEZING = {MAX_SUPERMODE_SQUEEZING}, past which "
-            f"1 - tanh(r)^2 loses its precision; use {name} <= {limit!r}"
+            f"the key rate loses its precision; use {name} <= {limit!r}"
         )
 
 
