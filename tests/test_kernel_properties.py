@@ -1,7 +1,8 @@
-"""Property test: the n=1 batch kernel against the dense pipeline oracle.
+"""Property tests of the batch kernel.
 
-Hypothesis draws points from the box the benchmark's oracle workload samples,
-and every active operation is checked at each of them.
+The n=1 kernel is checked against the dense pipeline oracle at points from the
+box the benchmark's oracle workload samples, for every active operation. The
+clamped total is checked to never rise with loss over the whole parameter box.
 """
 
 import math
@@ -11,10 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmcvqkd.channel import ChannelParams, DetectorParams, build_pipeline
+from mmcvqkd.channel import (
+    MAX_DETECTOR_NOISE,
+    MAX_EXCESS_NOISE,
+    ChannelParams,
+    DetectorParams,
+    build_pipeline,
+)
 from mmcvqkd.gaussian import TwoModeCM
-from mmcvqkd.keyrate import RateParams, holevo_bound, mutual_information, subchannel_rates_batch
-from mmcvqkd.operations import heralded_entries
+from mmcvqkd.keyrate import (
+    RateParams,
+    holevo_bound,
+    mutual_information,
+    subchannel_rates_batch,
+    total_rate_batch,
+)
+from mmcvqkd.operations import OpKind, heralded_entries
+from mmcvqkd.optimize import G_MIN, MAX_SUPERMODE_SQUEEZING, T_MAX, T_MIN
+from mmcvqkd.source import make_spectrum
 from mmcvqkd.verification import ACTIVE_KINDS, DEFAULT_CM_TOL, DEFAULT_MI_TOL
 
 RATE_TOL = 1e-10
@@ -47,3 +62,50 @@ def test_kernel_matches_dense_oracle(kind, r, t, loss_db, epsilon, eta_d, nu):
     assert abs(batch_info - info) <= DEFAULT_MI_TOL
     assert abs(batch_chi - chi) <= DEFAULT_CM_TOL
     assert abs(batch_rate - (rate.eta_r * info - chi)) <= RATE_TOL
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    scenario=st.sampled_from(["exp", "uniform", "single"]),
+    kind=st.sampled_from(list(OpKind)),
+    k_sel=st.integers(1, 3),
+    memory=st.booleans(),
+    g_fraction=st.floats(0.0, 1.0),
+    ts=st.lists(st.floats(T_MIN, T_MAX), min_size=3, max_size=3),
+    losses_db=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=2),
+    epsilon=st.floats(0.0, MAX_EXCESS_NOISE),
+    nu=st.floats(1.0, MAX_DETECTOR_NOISE),
+    eta_d=st.floats(1e-3, 1.0),
+    eta_r=st.floats(0.5, 1.0),
+)
+def test_clamped_total_never_rises_with_loss(
+    scenario, kind, k_sel, memory, g_fraction, ts, losses_db, epsilon, nu, eta_d, eta_r
+):
+    """At a fixed (G, T), the clamped total never rises with loss.
+
+    The box: every spectrum and op, G up to the gain cap, each T over
+    [T_MIN, T_MAX], 0-40 dB, and excess and detector noise up to their
+    ceilings. Only the clamped total (f(R) = max(R, 0)) has the property:
+    without the clamp, a negative sub-channel rate climbs toward 0 as loss
+    grows, so the literal sum can rise. eta_d stays at or above 1e-3 and eta_r
+    at or above 0.5: further down, I and chi sink toward chi's rounding floor,
+    near 1e-13 bits, and a rate of that size has a random sign (exp, NONE at
+    the gain cap, eps = 1, nu = 7, eta_d = 1e-12: 6.7e-14 at 0 dB, 1.7e-13 at
+    1 dB).
+    """
+    spectrum = make_spectrum(scenario)
+    if kind is OpKind.NONE:
+        k_sel = 0
+    elif scenario == "single":
+        k_sel = 1
+    gain = G_MIN + g_fraction * (MAX_SUPERMODE_SQUEEZING / max(spectrum.lambdas) - G_MIN)
+    det = DetectorParams(eta_d=eta_d, nu=nu)
+    rate = RateParams(eta_r=eta_r, memory=memory)
+    totals = [
+        float(total_rate_batch(
+            spectrum.lambdas, kind, np.array([gain]), tuple(np.array([t]) for t in ts[:k_sel]),
+            ChannelParams.from_loss_db(loss_db, epsilon=epsilon), det, rate,
+        )[0])
+        for loss_db in sorted(losses_db)
+    ]
+    assert totals[1] <= totals[0]
