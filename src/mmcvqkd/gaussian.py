@@ -166,7 +166,7 @@ def entropy_g(x) -> np.ndarray | float:
     lo = (arr - 1.0) / 2.0
     positive = lo > 0.0
     out = hi * np.log2(hi) - np.where(positive, lo * np.log2(np.where(positive, lo, 1.0)), 0.0)
-    if np.ndim(x) == 0:
+    if out.ndim == 0:
         return float(out)
     return out
 
