@@ -13,7 +13,7 @@ from mmcvqkd.channel import (
     DetectorParams,
     build_pipeline,
 )
-from mmcvqkd.gaussian import PHYSICALITY_TOL, TwoModeCM, UnphysicalStateError
+from mmcvqkd.gaussian import TwoModeCM, UnphysicalStateError
 from mmcvqkd.keyrate import (
     RateParams,
     holevo_bound,
@@ -223,15 +223,16 @@ class TestBatchPath:
     def test_unphysical_spectrum_is_rejected(self):
         # a = b = 1 with c = 0.5 breaks the uncertainty bound: through a lossless,
         # noiseless channel nu_minus = sqrt(0.75), and the conditional spectrum
-        # holds the same value. The kernel once clamped both to 1 and returned a
-        # finite rate; now it raises, like the dense path.
+        # holds the same value. The kernel must raise, as the dense path does,
+        # not clamp them to 1.
+        unphysical = (1.0, 1.0, 0.5)
         physical = heralded_entries(OpKind.PS1, math.tanh(1.0) ** 2, 0.5)[:3]
-        for entries in ((1.0, 1.0, 0.5), zip(physical, (1.0, 1.0, 0.5))):
-            a, b, c = (np.array(values, dtype=float) for values in entries)
+        # Alone, and in one batch beside a physical point.
+        for batch in ([unphysical], [physical, unphysical]):
+            a, b, c = np.array(batch, dtype=float).T
             with pytest.raises(UnphysicalStateError) as excinfo:
                 subchannel_rates_batch(a, b, c, IDEAL_CH, DEFAULT_DET, RateParams())
             assert excinfo.value.min_eigenvalue == pytest.approx(math.sqrt(0.75), rel=1e-12)
-            assert excinfo.value.min_eigenvalue < 1.0 - PHYSICALITY_TOL
 
     def test_multimode_total_factorizes(self, rng):
         # Batched totals equal the per-mode scalar path combined by hand.
