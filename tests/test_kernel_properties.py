@@ -88,10 +88,12 @@ def test_clamped_total_never_rises_with_loss(
     ceilings. Only the clamped total (f(R) = max(R, 0)) has the property:
     without the clamp, a negative sub-channel rate climbs toward 0 as loss
     grows, so the literal sum can rise. eta_d stays at or above 1e-3 and eta_r
-    at or above 0.5: further down, I and chi sink toward chi's rounding floor,
-    near 1e-13 bits, and a rate of that size has a random sign (exp, NONE at
-    the gain cap, eps = 1, nu = 7, eta_d = 1e-12: 6.7e-14 at 0 dB, 1.7e-13 at
-    1 dB).
+    at or above 0.5. Further down, eta_r * I and chi can be so small and so
+    close that chi's rounding error (a difference of entropies of several
+    bits) decides the sign of a rate. At eta_d = 1e-12 (exp, NONE at the gain
+    cap, eps = 1, nu = 7) the total reads 6.7e-14 at 0 dB and 1.7e-13 at 1 dB;
+    at eta_r = 0.0117 (single, 1-PC at G_MIN, T = 0.375, eps = 0, nu = 38,
+    eta_d = 0.125) it reads 0 at 2 dB and 1.3e-13 at 24 dB.
     """
     spectrum = make_spectrum(scenario)
     if kind is OpKind.NONE:
