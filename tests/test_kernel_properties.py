@@ -2,7 +2,7 @@
 
 The n=1 kernel is checked against the dense pipeline oracle at points from the
 box the benchmark's oracle workload samples, for every active operation. The
-clamped total is checked to never rise with loss over the whole parameter box.
+clamped total is checked to never rise with loss over a wide parameter box.
 """
 
 import math
