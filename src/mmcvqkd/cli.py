@@ -33,7 +33,7 @@ from .channel import (
 from .keyrate import DEFAULT_RECONCILIATION_EFFICIENCY, RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
 from .optimize import DEFAULT_GRID_POINTS, OptimizationProblem, check_bound_squeezing, optimize
-from .source import DEFAULT_DECAY, DEFAULT_K_MAX, SourceParams, make_spectrum
+from .source import DEFAULT_DECAY, DEFAULT_K_MAX, Scenario, SourceParams, make_spectrum
 from .verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL, DEFAULT_PROB_TOL, run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
@@ -55,7 +55,7 @@ class Setting(NamedTuple):
 
 
 SETTINGS = {
-    "scenario": Setting(str, "single", choices=("single", "exp", "uniform")),
+    "scenario": Setting(str, "single", choices=tuple(scenario.value for scenario in Scenario)),
     "decay": Setting(float, DEFAULT_DECAY, "exp-scenario decay constant"),
     "kmax": Setting(int, DEFAULT_K_MAX, "number of supermodes"),
     "ksel": Setting(int, 1, "supermodes receiving the operation"),
@@ -263,12 +263,6 @@ def _rate_params(settings: dict) -> RateParams:
     return RateParams(eta_r=settings["eta_r"], memory=settings["memory"])
 
 
-def _operation(settings: dict) -> tuple[OpKind, int]:
-    """The operation and the number of supermodes it acts on (0 for none)."""
-    op_kind = OpKind(settings["op"])
-    return op_kind, settings["ksel"] if op_kind is not OpKind.NONE else 0
-
-
 def _single_loss(settings: dict, command: str) -> float:
     losses = _parse_loss_values(settings["loss_db"])
     if len(losses) != 1:
@@ -290,9 +284,9 @@ def _record(
     settings: dict, loss: float, gain: float, t_values: tuple[float, ...], evaluations: int
 ) -> SweepRecord:
     """Evaluate (gain, t_values) on the dense scalar path and build the output record."""
-    op_kind, k_sel = _operation(settings)
     channel = _channel(settings, loss)
     source = SourceParams(gain=gain, spectrum=_spectrum(settings))
+    op_kind = OpKind(settings["op"])
     outcomes = apply_to_supermodes([NonGaussianOpSpec(op_kind, t) for t in t_values], source)
     result = total_rate(
         outcomes, channel, _detector(settings), _rate_params(settings), clamp=settings["clamp"]
@@ -302,8 +296,8 @@ def _record(
         eta_e=channel.eta_e,
         distance_km=loss / settings["attenuation"],
         scenario=settings["scenario"],
-        op=op_kind.value,
-        k_sel=k_sel,
+        op=settings["op"],
+        k_sel=len(t_values),  # one T per operated supermode
         memory=settings["memory"],
         best_G=gain,
         best_T=t_values,
@@ -316,9 +310,9 @@ def _record(
 
 def cmd_point(settings: dict) -> list[SweepRecord]:
     loss = _single_loss(settings, "point")
-    op_kind, k_sel = _operation(settings)
     t_values = _parse_t_list(settings)
-    if op_kind is OpKind.NONE:
+    k_sel = settings["ksel"]
+    if settings["op"] == "none":
         if t_values:
             raise UsageError("t: transmissivities given but op is none")
     elif len(t_values) != k_sel:
@@ -328,11 +322,10 @@ def cmd_point(settings: dict) -> list[SweepRecord]:
 
 
 def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None) -> SweepRecord:
-    op_kind, k_sel = _operation(settings)
     problem = OptimizationProblem(
         spectrum=_spectrum(settings),
-        op_kind=op_kind,
-        k_sel=k_sel,
+        op_kind=OpKind(settings["op"]),
+        k_sel=settings["ksel"],
         channel=_channel(settings, loss),
         detector=_detector(settings),
         rate=_rate_params(settings),

@@ -45,7 +45,7 @@ RATE_TIE_ATOL = 1e-12
 # at most grid_points^2 points, but the summed rate array holds every grid
 # point (25^4 is fine, 25^5 is not).
 MAX_GRID_SIZE = 2_000_000
-# Search box: G from G_MIN to effective_g_max, each T_k in [T_MIN, T_MAX].
+# Search box: G from G_MIN to the problem's g_max, each T_k in [T_MIN, T_MAX].
 # Refinement runs from at most 1 + MULTISTART starts (``_starts``), each for at
 # most MAX_SWEEPS coordinate sweeps, which stop once a sweep gains <=
 # RATE_REL_TOL relative; a line search stops at PARAM_TOL of the axis span.
@@ -61,13 +61,17 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(2.2e-16)  # scipy's fminbound uses the same constant
 
 
+def gain_cap(spectrum: SupermodeSpectrum) -> float:
+    """The largest gain that squeezes no supermode past MAX_SUPERMODE_SQUEEZING."""
+    return MAX_SUPERMODE_SQUEEZING / max(spectrum.lambdas)
+
+
 def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -> None:
-    """Reject a gain that squeezes the leading supermode past MAX_SUPERMODE_SQUEEZING."""
-    lambda_1 = max(spectrum.lambdas)
-    limit = MAX_SUPERMODE_SQUEEZING / lambda_1
+    """Reject a gain above the gain cap."""
+    limit = gain_cap(spectrum)
     if gain > limit:
         raise ValueError(
-            f"{name} {gain} squeezes the leading supermode to r = {gain * lambda_1:.4g}, "
+            f"{name} {gain} squeezes the leading supermode to r = {gain * max(spectrum.lambdas):.4g}, "
             f"above the limit MAX_SUPERMODE_SQUEEZING = {MAX_SUPERMODE_SQUEEZING}, past which "
             f"the key rate loses its precision; use {name} <= {limit!r}"
         )
@@ -84,7 +88,7 @@ class OptimizationProblem:
     detector: DetectorParams = field(default_factory=DetectorParams)
     rate: RateParams = field(default_factory=RateParams)
     clamp: bool = True
-    g_max: float | None = None
+    g_max: float | None = None  # None is stored as gain_cap(spectrum)
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
@@ -94,20 +98,16 @@ class OptimizationProblem:
             raise ValueError(f"k_sel {self.k_sel} out of range for {self.spectrum.k_max} modes")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be at least 2, got {self.grid_points}")
-        if self.g_max is not None and not G_MIN < self.g_max < math.inf:
+        if self.g_max is None:
+            object.__setattr__(self, "g_max", gain_cap(self.spectrum))
+        elif not G_MIN < self.g_max < math.inf:
             raise ValueError(f"g_max must be finite and above G_MIN = {G_MIN}, got {self.g_max}")
-        check_bound_squeezing("g_max", self.effective_g_max, self.spectrum)
+        check_bound_squeezing("g_max", self.g_max, self.spectrum)
         if self.grid_points ** (1 + self.k_sel) > MAX_GRID_SIZE:
             raise ValueError(
                 f"coarse grid of {self.grid_points}^{1 + self.k_sel} points "
                 f"exceeds {MAX_GRID_SIZE}; lower grid_points or k_sel"
             )
-
-    @property
-    def effective_g_max(self) -> float:
-        if self.g_max is not None:
-            return self.g_max
-        return MAX_SUPERMODE_SQUEEZING / max(self.spectrum.lambdas)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ class _Objective:
 
 def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     n = problem.grid_points
-    g_axis = np.geomspace(G_MIN, problem.effective_g_max, n)
-    axes = [g_axis]
+    axes = [np.geomspace(G_MIN, problem.g_max, n)]
     if problem.k_sel:
         # Dense toward T_MAX: equal log spacing in (1 - T). 1 - (1 - T_MIN)
         # rounds above T_MIN, so the ends are set to the box ends.
@@ -280,14 +279,14 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         first = np.unravel_index(np.argmax(~np.isfinite(grid)), grid.shape)
         raise ValueError(
             f"key rate is not finite on the coarse grid at G = {axes[0][first[0]]:.6g}; "
-            f"lower g_max (now {problem.effective_g_max:.6g})"
+            f"lower g_max (now {problem.g_max:.6g})"
         )
     # Lexicographically first point within the tie band (row-major order).
     best = np.unravel_index(np.argmax(grid >= best_rate - RATE_TIE_ATOL), grid.shape)
     starts = _starts(grid, best)
 
     lower = [G_MIN] + [T_MIN] * problem.k_sel
-    upper = [problem.effective_g_max] + [T_MAX] * problem.k_sel
+    upper = [problem.g_max] + [T_MAX] * problem.k_sel
     abs_tols = [PARAM_TOL * (hi - lo) for lo, hi in zip(lower, upper)]
     best_refined = float(grid[starts[0]])
 
@@ -329,6 +328,6 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         best_t=tuple(float(v) for v in best_params[1:]),
         evaluations=grid.size + len(objective.trace),
         no_positive_key=bool(best_refined <= 0.0),
-        g_at_bound=bool((problem.effective_g_max - best_params[0]) <= 2.0 * abs_tols[0]),
+        g_at_bound=bool((problem.g_max - best_params[0]) <= 2.0 * abs_tols[0]),
         trace=tuple(objective.trace),
     )

@@ -69,7 +69,7 @@ class TestOptimize:
         )
         result = optimize(problem)
         assert result.g_at_bound
-        assert result.best_g == pytest.approx(problem.effective_g_max, rel=1e-3)
+        assert result.best_g == pytest.approx(problem.g_max, rel=1e-3)
         assert not result.no_positive_key
 
     def test_no_positive_key_flag(self):
@@ -133,7 +133,7 @@ class TestOptimize:
             channel=ChannelParams.from_loss_db(30.0),
         )
         g_axis, *t_axes = _grid_axes(problem)
-        assert (g_axis[0], g_axis[-1]) == (G_MIN, problem.effective_g_max)
+        assert (g_axis[0], g_axis[-1]) == (G_MIN, problem.g_max)
         assert all((t_axis[0], t_axis[-1]) == (T_MIN, T_MAX) for t_axis in t_axes)
         # Both operated supermodes clamp to 0 here and the optimum sits at T_MIN.
         assert optimize(problem).best_t == (T_MIN, T_MIN)
@@ -411,7 +411,7 @@ def test_none_reaches_the_gain_cap():
         spectrum=make_spectrum("exp", 5, 2.0), channel=ChannelParams.from_loss_db(0.0)
     )
     result = optimize(problem)
-    assert result.best_g == problem.effective_g_max
+    assert result.best_g == problem.g_max
     assert (result.best_rate.hex(), result.evaluations) == ("0x1.b929fee1650bdp+1", 141)
 
 
@@ -423,7 +423,7 @@ def test_memory_optimum_not_below_dense_scan():
         channel=ChannelParams.from_loss_db(22.0), rate=RateParams(memory=True),
     )
     result = optimize(problem)
-    gains = np.linspace(G_MIN, problem.effective_g_max, 401)[:, None]
+    gains = np.linspace(G_MIN, problem.g_max, 401)[:, None]
     transmissivities = 1.0 - np.geomspace(1.0 - T_MIN, 1.0 - T_MAX, 401)[None, :]
     scan = total_rate_batch(
         problem.spectrum.lambdas, problem.op_kind, gains, (transmissivities,),
@@ -441,5 +441,5 @@ def test_refinement_stays_in_the_box():
     result = optimize(problem)
     assert len(result.trace) == result.evaluations - problem.grid_points**3
     for params, _ in result.trace:
-        assert G_MIN <= params[0] <= problem.effective_g_max
+        assert G_MIN <= params[0] <= problem.g_max
         assert all(T_MIN <= t <= T_MAX for t in params[1:])
