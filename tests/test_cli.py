@@ -215,6 +215,20 @@ class TestOutputFormats:
         assert out == ""
         assert "g_max 10.0" in err and "MAX_SUPERMODE_SQUEEZING = 2.5" in err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("point", []), ("optimize", ["--grid-points", "5"]),
+         ("sweep", ["--grid-points", "5", "--loss-db", "0:10:10"])],
+    )
+    def test_none_records_no_operated_supermode(self, capsys, command, flags):
+        # NONE operates no supermode, whatever --ksel says.
+        code, out, _ = run_cli(
+            [command, "--scenario", "exp", "--op", "none", "--ksel", "3", *flags], capsys
+        )
+        assert code == 0
+        records = cli.parse_csv_records(out)
+        assert records and all(record.k_sel == 0 and record.best_T == () for record in records)
+
     def test_bad_csv_header_is_named(self):
         with pytest.raises(ValueError, match="unrecognized CSV header"):
             cli.parse_csv_records("loss_db,eta_e\n10,0.1\n")

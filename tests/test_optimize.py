@@ -13,6 +13,7 @@ from mmcvqkd.keyrate import RateParams, subchannel_rates_batch, total_rate_batch
 from mmcvqkd.operations import OpKind, heralded_entries
 from mmcvqkd.optimize import (
     G_MIN,
+    MAX_SUPERMODE_SQUEEZING,
     MULTISTART,
     RATE_REL_TOL,
     T_MAX,
@@ -117,6 +118,13 @@ class TestOptimize:
         problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), k_sel=3)
         assert problem.k_sel == 0
         assert optimize(problem) == optimize(_problem(spectrum=make_spectrum("exp", 5, 2.0)))
+
+    @pytest.mark.parametrize("scenario", ["exp", "uniform", "single"])
+    def test_problem_without_g_max_stores_the_gain_cap(self, scenario):
+        # An explicit g_max is kept.
+        spectrum = make_spectrum(scenario, 5)
+        assert _problem(spectrum=spectrum).g_max == MAX_SUPERMODE_SQUEEZING / max(spectrum.lambdas)
+        assert _problem(spectrum=spectrum, g_max=1.5).g_max == 1.5
 
     def test_transmissivity_grid_dense_toward_one(self):
         problem = _problem(
