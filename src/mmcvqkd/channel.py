@@ -30,6 +30,13 @@ DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 # past them the kernel returns unphysical positive rates or overflows.
 MAX_EXCESS_NOISE = 1e3
 MAX_DETECTOR_NOISE = 50.0
+# Efficiency floors, with keyrate.MIN_RECONCILIATION_EFFICIENCY. Far below
+# them eta_r * I and chi can be so small and so close that chi's rounding
+# error (a difference of entropies of several bits) decides the sign of a
+# rate near 1e-13, and the clamped total can rise with loss. At eta_d = 1e-12
+# (exp, NONE at the gain cap, eps = 1, nu = 7, eta_r = 1, no memory) it reads
+# 6.7e-14 at 0 dB and 1.7e-13 at 1 dB.
+MIN_DETECTION_EFFICIENCY = 1e-3
 
 BOB_MODE_INDEX = 3  # position of B in the (A, C, D, B) pre-measurement CM
 
@@ -59,14 +66,17 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Detection efficiency eta_d in (0, 1] and thermal noise variance nu >= 1."""
+    """Detection efficiency eta_d in [MIN_DETECTION_EFFICIENCY, 1] and noise variance nu >= 1."""
 
     eta_d: float = DEFAULT_DETECTOR_EFFICIENCY
     nu: float = DEFAULT_DETECTOR_NOISE
 
     def __post_init__(self):
-        if not 0.0 < self.eta_d <= 1.0:
-            raise ValueError(f"eta_d (detection efficiency) must be in (0, 1], got {self.eta_d}")
+        if not MIN_DETECTION_EFFICIENCY <= self.eta_d <= 1.0:
+            raise ValueError(
+                f"eta_d (detection efficiency) must be in [MIN_DETECTION_EFFICIENCY = "
+                f"{MIN_DETECTION_EFFICIENCY:g}, 1], got {self.eta_d}"
+            )
         if not 1.0 <= self.nu <= MAX_DETECTOR_NOISE:
             raise ValueError(
                 f"thermal noise variance must be in [1, MAX_DETECTOR_NOISE = "

@@ -26,7 +26,13 @@ from .gaussian import entropy_g, symplectic_eigenvalues, two_mode_symplectic
 from .operations import OpKind, OpOutcome, heralded_entries
 
 DEFAULT_RECONCILIATION_EFFICIENCY = 0.95
-# chi is nonnegative up to rounding; anything this far below zero is a bug.
+# Floor on eta_r, for the reason at channel.MIN_DETECTION_EFFICIENCY. At
+# eta_r = 0.0117 (single, 1-PC at G_MIN, T = 0.375, eps = 0, nu = 38,
+# eta_d = 0.125, no memory) the clamped total reads 0 at 2 dB and 1.2e-13 at
+# 24 dB.
+MIN_RECONCILIATION_EFFICIENCY = 0.5
+# chi is nonnegative up to rounding. Both paths set a chi within this of zero
+# to exactly zero; a more negative chi passes through unchanged.
 CHI_CLAMP_TOL = 1e-9
 
 
@@ -38,8 +44,11 @@ class RateParams:
     memory: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.eta_r <= 1.0:
-            raise ValueError(f"eta_r (reconciliation efficiency) must be in (0, 1], got {self.eta_r}")
+        if not MIN_RECONCILIATION_EFFICIENCY <= self.eta_r <= 1.0:
+            raise ValueError(
+                f"eta_r (reconciliation efficiency) must be in [MIN_RECONCILIATION_EFFICIENCY = "
+                f"{MIN_RECONCILIATION_EFFICIENCY:g}, 1], got {self.eta_r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,8 @@ class TestBoundaryChecks:
          (["optimize", "--g-max", "0.005"], {}, "g_max"),
          (["point", "--eta-r", "1.5"], {}, "eta_r"),
          (["point", "--eta-d", "0"], {}, "eta_d"),
+         (["point", "--eta-d", "0.0009"], {}, "MIN_DETECTION_EFFICIENCY"),
+         (["point", "--eta-r", "0.49"], {}, "MIN_RECONCILIATION_EFFICIENCY"),
          (["point", "--gain", "-1"], {}, "gain"),
          (["point", "--gain", "2.5000000000000004"], {}, "MAX_SUPERMODE_SQUEEZING = 2.5"),
          (["optimize", "--g-max", "2.5000000000000004"], {}, "MAX_SUPERMODE_SQUEEZING = 2.5")],
@@ -385,7 +387,8 @@ class TestBoundaryChecks:
              "optimize-loss-range", "op-env", "config-missing", "config-array",
              "point-nu-above-limit", "optimize-nu-above-limit",
              "point-eps-above-limit", "optimize-eps-above-limit", "grid-points-one",
-             "g-max-below-g-min", "eta-r-above-one", "eta-d-zero", "gain-negative",
+             "g-max-below-g-min", "eta-r-above-one", "eta-d-zero", "eta-d-below-minimum",
+             "eta-r-below-minimum", "gain-negative",
              "point-gain-above-limit", "optimize-g-max-above-limit"],
     )
     def test_bad_input_exits_2_naming_the_field(

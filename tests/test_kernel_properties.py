@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from mmcvqkd.channel import (
     MAX_DETECTOR_NOISE,
     MAX_EXCESS_NOISE,
+    MIN_DETECTION_EFFICIENCY,
     ChannelParams,
     DetectorParams,
     build_pipeline,
 )
 from mmcvqkd.gaussian import TwoModeCM
 from mmcvqkd.keyrate import (
+    MIN_RECONCILIATION_EFFICIENCY,
     RateParams,
     holevo_bound,
     mutual_information,
@@ -75,8 +77,8 @@ def test_kernel_matches_dense_oracle(kind, r, t, loss_db, epsilon, eta_d, nu):
     losses_db=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=2),
     epsilon=st.floats(0.0, MAX_EXCESS_NOISE),
     nu=st.floats(1.0, MAX_DETECTOR_NOISE),
-    eta_d=st.floats(1e-3, 1.0),
-    eta_r=st.floats(0.5, 1.0),
+    eta_d=st.floats(MIN_DETECTION_EFFICIENCY, 1.0),
+    eta_r=st.floats(MIN_RECONCILIATION_EFFICIENCY, 1.0),
 )
 def test_clamped_total_never_rises_with_loss(
     scenario, kind, k_sel, memory, g_fraction, ts, losses_db, epsilon, nu, eta_d, eta_r
@@ -84,16 +86,14 @@ def test_clamped_total_never_rises_with_loss(
     """At a fixed (G, T), the clamped total never rises with loss.
 
     The box: every spectrum and op, G up to the gain cap, each T over
-    [T_MIN, T_MAX], 0-40 dB, and excess and detector noise up to their
-    ceilings. Only the clamped total (f(R) = max(R, 0)) has the property:
-    without the clamp, a negative sub-channel rate climbs toward 0 as loss
-    grows, so the literal sum can rise. eta_d stays at or above 1e-3 and eta_r
-    at or above 0.5. Further down, eta_r * I and chi can be so small and so
-    close that chi's rounding error (a difference of entropies of several
-    bits) decides the sign of a rate. At eta_d = 1e-12 (exp, NONE at the gain
-    cap, eps = 1, nu = 7) the total reads 6.7e-14 at 0 dB and 1.7e-13 at 1 dB;
-    at eta_r = 0.0117 (single, 1-PC at G_MIN, T = 0.375, eps = 0, nu = 38,
-    eta_d = 0.125) it reads 0 at 2 dB and 1.3e-13 at 24 dB.
+    [T_MIN, T_MAX], 0-40 dB, excess and detector noise up to their ceilings,
+    and eta_d and eta_r from their floors, MIN_DETECTION_EFFICIENCY and
+    MIN_RECONCILIATION_EFFICIENCY, to 1. Only the clamped total
+    (f(R) = max(R, 0)) has the property: without the clamp, a negative
+    sub-channel rate climbs toward 0 as loss grows, so the literal sum can
+    rise. The floors are where the property starts to hold: far below them
+    chi's rounding error decides the sign of rates near 1e-13, and the
+    clamped total rises with loss (the comment at each constant gives a case).
     """
     spectrum = make_spectrum(scenario)
     if kind is OpKind.NONE:
