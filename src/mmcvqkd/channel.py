@@ -30,12 +30,10 @@ DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 # past them the kernel returns unphysical positive rates or overflows.
 MAX_EXCESS_NOISE = 1e3
 MAX_DETECTOR_NOISE = 50.0
-# Efficiency floors, with keyrate.MIN_RECONCILIATION_EFFICIENCY. Far below
-# them eta_r * I and chi can be so small and so close that chi's rounding
-# error (a difference of entropies of several bits) decides the sign of a
-# rate near 1e-13, and the clamped total can rise with loss. At eta_d = 1e-12
-# (exp, NONE at the gain cap, eps = 1, nu = 7, eta_r = 1, no memory) it reads
-# 6.7e-14 at 0 dB and 1.7e-13 at 1 dB.
+# Efficiency floors: this one and keyrate.MIN_RECONCILIATION_EFFICIENCY.
+# Far below either, chi's rounding error (a difference of entropies of
+# several bits) decides the sign of rates near 1e-13 and the clamped total
+# can rise with loss; test_clamped_total_never_rises_with_loss gives cases.
 MIN_DETECTION_EFFICIENCY = 1e-3
 
 BOB_MODE_INDEX = 3  # position of B in the (A, C, D, B) pre-measurement CM

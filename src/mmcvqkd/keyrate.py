@@ -26,10 +26,7 @@ from .gaussian import entropy_g, symplectic_eigenvalues, two_mode_symplectic
 from .operations import OpKind, OpOutcome, heralded_entries
 
 DEFAULT_RECONCILIATION_EFFICIENCY = 0.95
-# Floor on eta_r, for the reason at channel.MIN_DETECTION_EFFICIENCY. At
-# eta_r = 0.0117 (single, 1-PC at G_MIN, T = 0.375, eps = 0, nu = 38,
-# eta_d = 0.125, no memory) the clamped total reads 0 at 2 dB and 1.2e-13 at
-# 24 dB.
+# Floor on eta_r, for the reason at channel.MIN_DETECTION_EFFICIENCY.
 MIN_RECONCILIATION_EFFICIENCY = 0.5
 # chi is nonnegative up to rounding. Both paths set a chi within this of zero
 # to exactly zero; a more negative chi passes through unchanged.

@@ -91,9 +91,13 @@ def test_clamped_total_never_rises_with_loss(
     MIN_RECONCILIATION_EFFICIENCY, to 1. Only the clamped total
     (f(R) = max(R, 0)) has the property: without the clamp, a negative
     sub-channel rate climbs toward 0 as loss grows, so the literal sum can
-    rise. The floors are where the property starts to hold: far below them
-    chi's rounding error decides the sign of rates near 1e-13, and the
-    clamped total rises with loss (the comment at each constant gives a case).
+    rise. Far below the floors, eta_r * I and chi can be so small and so
+    close that chi's rounding error (a difference of entropies of several
+    bits) decides the sign of a rate, and the clamped total rises with loss.
+    At eta_d = 1e-12 (exp, NONE at the gain cap, eps = 1, nu = 7, eta_r = 1,
+    no memory) it reads 6.7e-14 at 0 dB and 1.7e-13 at 1 dB; at
+    eta_r = 0.0117 (single, 1-PC at G_MIN, T = 0.375, eps = 0, nu = 38,
+    eta_d = 0.125, no memory) it reads 0 at 2 dB and 1.2e-13 at 24 dB.
     """
     spectrum = make_spectrum(scenario)
     if kind is OpKind.NONE:
