@@ -4,8 +4,13 @@ Re-derives the heralded covariance matrices and success probabilities from
 first principles: build the two-mode squeezed vacuum in the number basis,
 mix the transmitted arm with an ancillary Fock state on a beam splitter and
 project the ancilla output onto a photon-number outcome. Serves as the
-independent oracle for the closed forms in ``operations``. Dense arrays
-only; cutoffs stay below ~100 per mode for the squeezing range of interest.
+independent oracle for the closed forms in ``operations``.
+
+States are stored densely: (N+1)^2 amplitudes at cutoff N. Heralding and
+the moments make a few elementwise passes over that array and otherwise
+work in proportion to the nonzero amplitudes, N+1 for a squeezed vacuum.
+``tmsv_cutoff`` gives N = 19 at r = 0.6, 116 at r = 1.5, 315 at r = 2.0
+and 855 at r = 2.5, the largest supermode squeezing the optimizer allows.
 """
 
 from __future__ import annotations
@@ -114,16 +119,17 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
         raise ValueError("photon numbers must be nonnegative")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"invalid transmissivity {t}")
-    cutoff_in = state.amplitudes.shape[1] - 1
-    cutoff_out = cutoff_in + ancilla_photons
-    transfer = np.zeros((cutoff_out + 1, cutoff_in + 1))
-    for n_b in range(cutoff_in + 1):
-        m_b = n_b + ancilla_photons - detect_photons
-        if 0 <= m_b <= cutoff_out:
-            transfer[m_b, n_b] = beam_splitter_element(
-                m_b, detect_photons, n_b, ancilla_photons, t
-            )
-    heralded = state.amplitudes @ transfer.T
+    amps = state.amplitudes
+    # A fixed detection maps |n_b> to the single |m_b>, m_b = n_b + ancilla - detect,
+    # so each input column is scaled once and moved to its output column.
+    n_bs = np.arange(max(0, detect_photons - ancilla_photons), amps.shape[1])
+    m_bs = n_bs + ancilla_photons - detect_photons
+    weights = np.array(
+        [beam_splitter_element(m_b, detect_photons, n_b, ancilla_photons, t)
+         for m_b, n_b in zip(m_bs.tolist(), n_bs.tolist())]
+    )
+    heralded = np.zeros((amps.shape[0], amps.shape[1] + ancilla_photons), dtype=complex)
+    heralded[:, m_bs] = amps[:, n_bs] * weights
     probability = float((np.abs(heralded) ** 2).sum())
     if probability <= 0.0:
         return HeraldResult(cm=None, probability=0.0, state=None)
@@ -144,29 +150,27 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """First moments (length 4) and symmetrized second-moment matrix (4x4)
     of (x_A, p_A, x_B, p_B) with x = a + a+, p = i(a+ - a)."""
     psi = state.amplitudes
-    n_a, n_b = psi.shape
-    ia = np.arange(n_a)[:, None]
-    ib = np.arange(n_b)[None, :]
-    prob = np.abs(psi) ** 2
+    rows, cols = np.nonzero(psi)
+    amps = psi[rows, cols]
 
-    mean_na = float((ia * prob).sum())
-    mean_nb = float((ib * prob).sum())
+    def overlap(d_a: int, d_b: int, weight: np.ndarray) -> complex:
+        """Sum of conj(psi[i - d_a, j - d_b]) psi[i, j] weight over the support;
+        partners off the array are zero in the truncated space."""
+        i, j = rows - d_a, cols - d_b
+        on = (i >= 0) & (i < psi.shape[0]) & (j >= 0) & (j < psi.shape[1])
+        return complex((np.conj(psi[i[on], j[on]]) * amps[on] * weight[on]).sum())
+
+    prob = np.abs(amps) ** 2
+    mean_na = float((rows * prob).sum())
+    mean_nb = float((cols * prob).sum())
     # <a>, <b>: one-photon lowering overlaps
-    a_mean = complex((np.conj(psi[:-1, :]) * psi[1:, :] * np.sqrt(ia[1:, :])).sum())
-    b_mean = complex((np.conj(psi[:, :-1]) * psi[:, 1:] * np.sqrt(ib[:, 1:])).sum())
+    a_mean = overlap(1, 0, np.sqrt(rows))
+    b_mean = overlap(0, 1, np.sqrt(cols))
     # <a^2>, <b^2>, <ab>, <a b+>
-    aa = complex(
-        (np.conj(psi[:-2, :]) * psi[2:, :] * np.sqrt(ia[2:, :] * (ia[2:, :] - 1))).sum()
-    )
-    bb = complex(
-        (np.conj(psi[:, :-2]) * psi[:, 2:] * np.sqrt(ib[:, 2:] * (ib[:, 2:] - 1))).sum()
-    )
-    ab = complex(
-        (np.conj(psi[:-1, :-1]) * psi[1:, 1:] * np.sqrt(ia[1:, :] * ib[:, 1:])).sum()
-    )
-    ab_dag = complex(
-        (np.conj(psi[1:, :-1]) * psi[:-1, 1:] * np.sqrt(ia[1:, :] * ib[:, 1:])).sum()
-    ).conjugate()
+    aa = overlap(2, 0, np.sqrt(rows * (rows - 1)))
+    bb = overlap(0, 2, np.sqrt(cols * (cols - 1)))
+    ab = overlap(1, 1, np.sqrt(rows * cols))
+    ab_dag = overlap(1, -1, np.sqrt(rows * (cols + 1)))
 
     means = np.array(
         [2 * a_mean.real, 2 * a_mean.imag, 2 * b_mean.real, 2 * b_mean.imag]

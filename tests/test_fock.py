@@ -103,6 +103,27 @@ class TestHerald:
         assert doubled.cm.b == pytest.approx(base.cm.b, abs=1e-8)
         assert doubled.cm.c == pytest.approx(base.cm.c, abs=1e-8)
 
+    @pytest.mark.parametrize("ancilla,detect", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_band_state_matches_dense_transfer(self, ancilla, detect):
+        # a single band on |n, n+1> with real coefficients, not a TMSV; the
+        # reference applies the full transfer matrix of the detection outcome
+        t = 0.63
+        coeffs = np.random.default_rng(7).uniform(0.1, 1.0, 6)
+        amps = np.zeros((6, 7))
+        amps[np.arange(6), np.arange(1, 7)] = coeffs / np.linalg.norm(coeffs)
+        transfer = np.array(
+            [[beam_splitter_element(m_b, detect, n_b, ancilla, t) for n_b in range(7)]
+             for m_b in range(7 + ancilla)]
+        )
+        expected = amps @ transfer.T
+        expected_probability = float((np.abs(expected) ** 2).sum())
+        result = herald(FockState(amps), ancilla, detect, t)
+        assert result.probability == pytest.approx(expected_probability, rel=1e-15)
+        np.testing.assert_allclose(
+            result.state.amplitudes, expected / math.sqrt(expected_probability), rtol=0, atol=1e-15
+        )
+        assert result.cm is not None
+
     def test_invalid_arguments(self):
         state = build_tmsv(0.5)
         with pytest.raises(ValueError, match="invalid transmissivity"):
@@ -125,6 +146,33 @@ class TestExtractCm:
         means, moments = quadrature_moments(FockState(amps))
         np.testing.assert_allclose(means, np.zeros(4), atol=1e-12)
         np.testing.assert_allclose(np.diag(moments), [3.0, 3.0, 1.0, 1.0], atol=1e-12)
+
+    def test_moments_of_dense_state(self):
+        # a random complex state with amplitudes in its last row and column;
+        # the reference pads it by two photons per mode, so every product of
+        # two truncated ladder operators acts exactly on it
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+        psi /= np.linalg.norm(psi)
+        padded = np.zeros((9, 8), dtype=complex)
+        padded[:7, :6] = psi
+        vec = padded.ravel()
+        lower_a = np.kron(np.diag(np.sqrt(np.arange(1, 9)), k=1), np.eye(8))
+        lower_b = np.kron(np.eye(9), np.diag(np.sqrt(np.arange(1, 8)), k=1))
+        quads = [
+            op
+            for lower in (lower_a, lower_b)
+            for op in (lower + lower.conj().T, 1j * (lower.conj().T - lower))
+        ]
+        ref_means = np.array([np.vdot(vec, q @ vec).real for q in quads])
+        ref_second = np.array(
+            [[np.vdot(vec, (qi @ qj + qj @ qi) @ vec).real / 2 for qj in quads] for qi in quads]
+        )
+        means, cm = quadrature_moments(FockState(psi))
+        np.testing.assert_allclose(means, ref_means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            cm, ref_second - np.outer(ref_means, ref_means), rtol=0, atol=1e-12
+        )
 
     def test_first_moments_vanish_along_pipeline(self):
         for r in (0.3, 0.9):
