@@ -122,7 +122,6 @@ class TestHerald:
         np.testing.assert_allclose(
             result.state.amplitudes, expected / math.sqrt(expected_probability), rtol=0, atol=1e-15
         )
-        assert result.cm is not None
 
     def test_invalid_arguments(self):
         state = build_tmsv(0.5)
