@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import I2, Z2, GeneralCM, TwoModeCM, homodyne_condition
+from .gaussian import GeneralCM, TwoModeCM, homodyne_condition
 
 DEFAULT_EXCESS_NOISE = 0.1
 DEFAULT_DETECTOR_NOISE = 1.1
 DEFAULT_DETECTOR_EFFICIENCY = 0.68
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 # Noise ceilings. At every corner of the box they span, the batch kernel
-# agrees with the dense path to 2e-11 in the rate; past them the two drift
+# agrees with the dense path to 3.1e-11 in the rate; past them the two drift
 # apart (2.2e-10 at epsilon = 0, nu = 100, and 9.3e-9 at nu = 1e3), and far
 # past them the kernel returns unphysical positive rates or overflows.
 MAX_EXCESS_NOISE = 1e3
@@ -113,32 +113,19 @@ def detector_assemble(cm_after_channel: TwoModeCM, det: DetectorParams) -> Pipel
     B_out = sqrt(eta_d) B_in + sqrt(1 - eta_d) C_in,
     C_out = -sqrt(1 - eta_d) B_in + sqrt(eta_d) C_in
     acting on the product of the channel output with an EPR pair (C, D) of
-    variance nu.
+    variance nu. The splitter acts alike on x and p; the correlations enter
+    the x block with a plus sign and the p block with a minus sign.
     """
-    a, b_prime, c_prime = cm_after_channel.a, cm_after_channel.b, cm_after_channel.c
-    eta_d, nu = det.eta_d, det.nu
-    b_dprime = eta_d * b_prime + (1.0 - eta_d) * nu
-    c_var = eta_d * nu + (1.0 - eta_d) * b_prime
-    ancilla_corr = math.sqrt(nu**2 - 1.0)
-
-    ac = -math.sqrt(1.0 - eta_d) * c_prime
-    cd = math.sqrt(eta_d) * ancilla_corr
-    gamma_a = math.sqrt(eta_d) * c_prime
-    gamma_c = math.sqrt((1.0 - eta_d) * eta_d) * (nu - b_prime)
-    gamma_d = math.sqrt(1.0 - eta_d) * ancilla_corr
-
-    # The C-B coupling is variance-difference driven and acts identically on
-    # both quadratures (I-type); the A-B and D-B couplings inherit the EPR
-    # correlation structure (Z-type).
-    zero = np.zeros((2, 2))
-    full = np.block(
-        [
-            [a * I2, ac * Z2, zero, gamma_a * Z2],
-            [ac * Z2, c_var * I2, cd * Z2, gamma_c * I2],
-            [zero, cd * Z2, nu * I2, gamma_d * Z2],
-            [gamma_a * Z2, gamma_c * I2, gamma_d * Z2, b_dprime * I2],
-        ]
-    )
+    nu, t, r = det.nu, math.sqrt(det.eta_d), math.sqrt(1.0 - det.eta_d)
+    variances = np.diag([cm_after_channel.a, nu, nu, cm_after_channel.b])
+    correlations = np.zeros((4, 4))
+    correlations[0, 3] = correlations[3, 0] = cm_after_channel.c
+    correlations[1, 2] = correlations[2, 1] = math.sqrt(nu**2 - 1.0)
+    mixer = np.eye(4)
+    mixer[np.ix_([1, 3], [1, 3])] = [[t, -r], [r, t]]  # rows C_out, B_out
+    full = np.zeros((8, 8))
+    full[0::2, 0::2] = mixer @ (variances + correlations) @ mixer.T
+    full[1::2, 1::2] = mixer @ (variances - correlations) @ mixer.T
     pre_measurement = GeneralCM(full)
     conditional = homodyne_condition(pre_measurement, BOB_MODE_INDEX, "x")
     return PipelineCMs(

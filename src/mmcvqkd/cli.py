@@ -386,6 +386,9 @@ def parse_csv_records(text: str) -> list[SweepRecord]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for key, value in (("tol-cm", args.tol_cm), ("tol-prob", args.tol_prob), ("tol-mi", args.tol_mi)):
+        if not 0.0 <= value < math.inf:
+            raise UsageError(f"{key}: must be finite and >= 0, got {value}")
     results = run_all_checks(
         cm_tol=args.tol_cm, prob_tol=args.tol_prob, mi_tol=args.tol_mi
     )
@@ -442,7 +445,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        return cmd_verify(args)
+        try:
+            return cmd_verify(args)
+        except UsageError as exc:  # a check that raises is a defect, not a usage error
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         settings = _validated(build_settings(args))
         out_path = settings["out"]

@@ -79,7 +79,11 @@ def check_bound_squeezing(name: str, gain: float, spectrum: SupermodeSpectrum) -
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Scenario, operation and bounds for one key-rate maximization."""
+    """Scenario, operation and bounds for one key-rate maximization.
+
+    Built without ``g_max``, a problem stores ``gain_cap(spectrum)`` there, so
+    ``dataclasses.replace`` with another spectrum must pass ``g_max=None``.
+    """
 
     spectrum: SupermodeSpectrum
     op_kind: OpKind

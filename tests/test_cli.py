@@ -3,7 +3,6 @@
 import json
 import signal
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +12,7 @@ from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
 from mmcvqkd.source import SourceParams, make_spectrum
 
-DATA = Path(__file__).parent / "data"
+from golden_outputs import DATA, GOLDEN_RUNS
 
 
 def run_cli(args, capsys):
@@ -415,22 +414,6 @@ class TestBoundaryChecks:
         assert cli.parse_csv_records(out)[0].memory is memory
 
 
-# Output bytes of these runs are pinned in tests/data; a difference is an
-# output-format change, to be re-pinned only on purpose.
-GOLDEN_RUNS = {
-    "cli_point.csv": ["point", "--scenario", "exp", "--op", "0pc", "--ksel", "2",
-                      "--gain", "1.5", "--t", "0.9,0.8", "--loss-db", "10"],
-    "cli_point.json": ["point", "--scenario", "exp", "--op", "0pc", "--ksel", "2",
-                       "--gain", "1.5", "--t", "0.9,0.8", "--loss-db", "10", "--format", "json"],
-    "cli_optimize_memory.csv": ["optimize", "--scenario", "exp", "--op", "1pc", "--ksel", "2",
-                                "--loss-db", "22", "--grid-points", "5", "--memory"],
-    "cli_optimize_no_memory.json": ["optimize", "--scenario", "exp", "--op", "1pc",
-                                    "--ksel", "2", "--loss-db", "22", "--grid-points", "5",
-                                    "--no-memory", "--format", "json"],
-    "cli_sweep.csv": ["sweep", "--scenario", "uniform", "--op", "1ps", "--ksel", "1",
-                      "--no-memory", "--no-clamp", "--loss-db", "0:30:10", "--grid-points", "6"],
-}
-
 COMMON_OPTIONS = {
     "-h", "--help", "--scenario", "--decay", "--kmax", "--ksel", "--op", "--memory",
     "--no-memory", "--clamp", "--no-clamp", "--loss-db", "--eps", "--nu", "--eta-d", "--eta-r",
@@ -445,6 +428,8 @@ OPTIONS = {
 
 
 class TestGoldenOutput:
+    # tests/golden_outputs.py writes the fixtures; a difference is an output
+    # change, to be re-pinned only on purpose.
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
     def test_records_match_fixture_bytes(self, tmp_path, name):
         out = tmp_path / name
@@ -517,3 +502,12 @@ class TestVerify:
         assert "tolerance-miss" in out
         assert "structural-mismatch" not in out
         assert "FAILED" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("flag", ["--tol-cm", "--tol-prob", "--tol-mi"])
+    def test_degenerate_tolerance_is_named_usage_error(self, capsys, flag, value):
+        # A NaN or negative tolerance fails every check, an infinite one passes them all.
+        code, out, err = run_cli(["verify", flag, value], capsys)
+        assert code == 2
+        assert out == ""  # no PASS or FAIL line
+        assert err.startswith(f"error: {flag[2:]}: must be finite and >= 0")

@@ -63,6 +63,15 @@ class TestBeamSplitterElement:
             )
             np.testing.assert_allclose(matrix @ matrix.T, np.eye(total + 1), atol=1e-12)
 
+    @pytest.mark.parametrize("t", [0.5, 0.999])
+    @pytest.mark.parametrize("n2", [0, 1])
+    @pytest.mark.parametrize("n1", [315, 855])
+    def test_high_photon_column_has_unit_norm(self, n1, n2, t):
+        # tmsv_cutoff gives 315 at r = 2.0 and 855 at r = 2.5; herald evaluates
+        # columns this high in big-integer factorials.
+        column = [beam_splitter_element(m1, n1 + n2 - m1, n1, n2, t) for m1 in range(n1 + n2 + 1)]
+        assert math.fsum(element**2 for element in column) == pytest.approx(1.0, abs=1e-12)
+
     def test_transparent_splitter_is_identity(self):
         assert beam_splitter_element(2, 1, 2, 1, 1.0) == pytest.approx(1.0)
         assert beam_splitter_element(1, 2, 2, 1, 1.0) == 0.0
