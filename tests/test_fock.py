@@ -98,6 +98,12 @@ class TestHerald:
         assert result.probability == 0.0
         assert result.cm is None
 
+    def test_detection_beyond_the_support(self):
+        # detect - ancilla = 7 exceeds the cutoff 4: no input column can herald
+        result = herald(build_tmsv(0.0, cutoff=4), 0, 7, 0.5)
+        assert result.probability == 0.0
+        assert result.cm is None
+
     def test_outcome_probabilities_sum_to_one(self):
         state = build_tmsv(0.8)
         for ancilla in (0, 1):
