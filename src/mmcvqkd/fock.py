@@ -6,9 +6,12 @@ mix the transmitted arm with an ancillary Fock state on a beam splitter and
 project the ancilla output onto a photon-number outcome. Serves as the
 independent oracle for the closed forms in ``operations``.
 
-States are stored densely: (N+1)^2 amplitudes at cutoff N. Heralding and
-the moments make a few elementwise passes over that array and otherwise
-work in proportion to the nonzero amplitudes, N+1 for a squeezed vacuum.
+States are stored densely: (N+1)^2 amplitudes at cutoff N. Heralding
+allocates the output array and one real array of its moduli, writes the
+scaled input columns straight into their output columns and squares and
+normalizes in place; each column weight is one beam-splitter element whose
+factorial ratio has at most one factor above and below. The moments work in
+proportion to the nonzero amplitudes, N+1 for a squeezed vacuum.
 ``tmsv_cutoff`` gives N = 19 at r = 0.6, 116 at r = 1.5, 315 at r = 2.0
 and 855 at r = 2.5, the largest supermode squeezing the optimizer allows.
 """
@@ -107,8 +110,13 @@ def beam_splitter_element(m1: int, m2: int, n1: int, n2: int, t: float) -> float
             * amp_r**j
             * amp_t ** (n2 - j)
         )
+    # sqrt(m1! m2! / (n1! n2!)) with the common factorials cancelled: each
+    # perm is a product of at most |m1 - n1| factors, and the int/int
+    # division rounds the unchanged rational once.
+    k1, k2 = min(m1, n1), min(m2, n2)
     return total * math.sqrt(
-        math.factorial(m1) * math.factorial(m2) / (math.factorial(n1) * math.factorial(n2))
+        math.perm(m1, m1 - k1) * math.perm(m2, m2 - k2)
+        / (math.perm(n1, n1 - k1) * math.perm(n2, n2 - k2))
     )
 
 
@@ -121,19 +129,23 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
         raise ValueError(f"invalid transmissivity {t}")
     amps = state.amplitudes
     # A fixed detection maps |n_b> to the single |m_b>, m_b = n_b + ancilla - detect,
-    # so each input column is scaled once and moved to its output column.
-    n_bs = np.arange(max(0, detect_photons - ancilla_photons), amps.shape[1])
-    m_bs = n_bs + ancilla_photons - detect_photons
+    # so the input columns n_b >= n0 are scaled once and written to the
+    # contiguous output columns from m0 on.
+    n0 = max(0, detect_photons - ancilla_photons)
+    m0 = n0 + ancilla_photons - detect_photons
     weights = np.array(
-        [beam_splitter_element(m_b, detect_photons, n_b, ancilla_photons, t)
-         for m_b, n_b in zip(m_bs.tolist(), n_bs.tolist())]
+        [beam_splitter_element(m0 + k, detect_photons, n0 + k, ancilla_photons, t)
+         for k in range(amps.shape[1] - n0)]
     )
     heralded = np.zeros((amps.shape[0], amps.shape[1] + ancilla_photons), dtype=complex)
-    heralded[:, m_bs] = amps[:, n_bs] * weights
-    probability = float((np.abs(heralded) ** 2).sum())
+    np.multiply(amps[:, n0:], weights, out=heralded[:, m0:m0 + len(weights)])
+    mass = np.abs(heralded)
+    np.square(mass, out=mass)
+    probability = float(mass.sum())
     if probability <= 0.0:
         return HeraldResult(cm=None, probability=0.0, state=None)
-    normalized = FockState(heralded / math.sqrt(probability))
+    heralded /= math.sqrt(probability)
+    normalized = FockState(heralded)
     return HeraldResult(cm=extract_cm(normalized), probability=probability, state=normalized)
 
 
