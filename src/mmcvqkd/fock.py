@@ -26,6 +26,9 @@ import numpy as np
 from .gaussian import TwoModeCM
 
 TAIL_MASS_BOUND = 1e-10
+# Largest per-mode cutoff build_tmsv allocates: 2,501^2 complex amplitudes
+# are about 100 MB. tmsv_cutoff passes it above r = 3.037.
+MAX_FOCK_CUTOFF = 2_500
 FIRST_MOMENT_ATOL = 1e-10
 STRUCTURE_ATOL = 1e-7
 
@@ -61,11 +64,18 @@ def tmsv_cutoff(r: float) -> int:
     """Smallest per-mode cutoff keeping the squeezed-vacuum tail below 1e-10.
 
     The photon-number tail beyond N is tanh(r)^(2(N+1)), so
-    N >= ln(bound) / (2 ln tanh r) suffices.
+    N >= ln(bound) / (2 ln tanh r) suffices. A non-finite r, or one whose
+    tanh rounds to 1, has no such N and is rejected.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"non-finite squeezing r = {r}")
     if r <= 0.0:
         return 1
     xi = math.tanh(r)
+    if xi == 1.0:
+        raise ValueError(
+            f"squeezing r = {r} saturates: tanh(r) rounds to 1, so no cutoff bounds the tail"
+        )
     return max(1, math.ceil(math.log(TAIL_MASS_BOUND) / (2.0 * math.log(xi))))
 
 
@@ -80,6 +90,10 @@ def build_tmsv(r: float, cutoff: int | None = None) -> FockState:
         raise ValueError(
             f"insufficient truncation: cutoff {cutoff} < {required} needed for tail "
             f"mass < {TAIL_MASS_BOUND:g} at r = {r}"
+        )
+    if cutoff > MAX_FOCK_CUTOFF:
+        raise ValueError(
+            f"cutoff {cutoff} at r = {r} exceeds MAX_FOCK_CUTOFF = {MAX_FOCK_CUTOFF}"
         )
     xi = math.tanh(r)
     ns = np.arange(cutoff + 1)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mmcvqkd import fock
 from mmcvqkd.fock import (
+    MAX_FOCK_CUTOFF,
     FockState,
     beam_splitter_element,
     build_tmsv,
@@ -46,6 +48,36 @@ class TestBuildTmsv:
         with pytest.raises(ValueError, match="negative squeezing"):
             build_tmsv(-0.2)
 
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        """Fail the test if build_tmsv reaches its amplitude allocation."""
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"build_tmsv allocated {args}")
+        monkeypatch.setattr(fock.np, "zeros", refuse)
+
+    @pytest.mark.parametrize("r, message", [
+        (math.nan, "non-finite squeezing r = nan"),
+        (math.inf, "non-finite squeezing r = inf"),
+        (20.0, "squeezing r = 20.0 saturates"),
+    ])
+    def test_unbounded_squeezing_rejected(self, no_allocation, r, message):
+        with pytest.raises(ValueError, match=message):
+            build_tmsv(r)
+        with pytest.raises(ValueError, match=message):
+            tmsv_cutoff(r)
+
+    def test_cutoff_ceiling(self, no_allocation):
+        # r = 4 needs cutoff 17,160: a 17,161^2 complex array, 4.7 GB
+        assert tmsv_cutoff(4.0) > MAX_FOCK_CUTOFF
+        with pytest.raises(ValueError, match="cutoff 17160 at r = 4.0 exceeds MAX_FOCK_CUTOFF"):
+            build_tmsv(4.0)
+        with pytest.raises(ValueError, match="exceeds MAX_FOCK_CUTOFF = 2500"):
+            build_tmsv(0.5, cutoff=MAX_FOCK_CUTOFF + 1)
+
+    def test_largest_optimizer_squeezing_builds(self):
+        # MAX_SUPERMODE_SQUEEZING = 2.5 needs cutoff 855, below the ceiling
+        assert build_tmsv(2.5).amplitudes.shape == (856, 856)
+
 
 class TestBeamSplitterElement:
     def test_photon_number_conservation(self):
@@ -68,7 +100,8 @@ class TestBeamSplitterElement:
     @pytest.mark.parametrize("n1", [315, 855])
     def test_high_photon_column_has_unit_norm(self, n1, n2, t):
         # tmsv_cutoff gives 315 at r = 2.0 and 855 at r = 2.5; herald evaluates
-        # columns this high in big-integer factorials.
+        # columns this high, and the full column also reaches factorial ratios
+        # of hundreds of factors.
         column = [beam_splitter_element(m1, n1 + n2 - m1, n1, n2, t) for m1 in range(n1 + n2 + 1)]
         assert math.fsum(element**2 for element in column) == pytest.approx(1.0, abs=1e-12)
 
