@@ -105,6 +105,30 @@ class TestBeamSplitterElement:
         column = [beam_splitter_element(m1, n1 + n2 - m1, n1, n2, t) for m1 in range(n1 + n2 + 1)]
         assert math.fsum(element**2 for element in column) == pytest.approx(1.0, abs=1e-12)
 
+    def test_factorial_ratio_matches_big_integer_reference(self):
+        # the element divides out the common factorials; the reference forms
+        # m1! m2! / (n1! n2!) in full, the same rational, so the bits agree
+        def reference(m1, m2, n1, n2, t):
+            amp_t, amp_r = math.sqrt(t), math.sqrt(1.0 - t)
+            total = 0.0
+            for i in range(max(0, m1 - n2), min(n1, m1) + 1):
+                j = m1 - i
+                total += (math.comb(n1, i) * math.comb(n2, j) * amp_t**i
+                          * (-amp_r) ** (n1 - i) * amp_r**j * amp_t ** (n2 - j))
+            return total * math.sqrt(
+                math.factorial(m1) * math.factorial(m2)
+                / (math.factorial(n1) * math.factorial(n2))
+            )
+
+        cases = [(m1, total - m1, n1, total - n1)
+                 for total in range(13) for m1 in range(total + 1) for n1 in range(total + 1)]
+        # herald's columns: detect in {0, 1}, ancilla in {0, 1}, up to cutoff 855
+        cases += [(n_b + anc - det, det, n_b, anc)
+                  for n_b in (1, 2, 314, 315, 854, 855) for anc in (0, 1) for det in (0, 1)]
+        for t in (0.1, 0.63, 0.999):
+            for case in cases:
+                assert beam_splitter_element(*case, t).hex() == reference(*case, t).hex(), case
+
     def test_transparent_splitter_is_identity(self):
         assert beam_splitter_element(2, 1, 2, 1, 1.0) == pytest.approx(1.0)
         assert beam_splitter_element(1, 2, 2, 1, 1.0) == 0.0
