@@ -33,7 +33,7 @@ from .channel import (
 from .keyrate import DEFAULT_RECONCILIATION_EFFICIENCY, RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
 from .optimize import DEFAULT_GRID_POINTS, OptimizationProblem, check_bound_squeezing, optimize
-from .source import DEFAULT_DECAY, DEFAULT_K_MAX, Scenario, SourceParams, make_spectrum
+from .source import DEFAULT_DECAY, DEFAULT_K_MAX, MAX_K_MAX, Scenario, SourceParams, make_spectrum
 from .verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL, DEFAULT_PROB_TOL, run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
@@ -236,8 +236,8 @@ def _validated(settings: dict) -> dict:
             raise UsageError(f"{key}: must be one of {', '.join(setting.choices)}, got {value!r}")
         if setting.type is float and not math.isfinite(value):
             raise UsageError(f"{key}: must be finite, got {value}")
-    if settings["kmax"] < 1:
-        raise UsageError(f"kmax: must be >= 1, got {settings['kmax']}")
+    if not 1 <= settings["kmax"] <= MAX_K_MAX:
+        raise UsageError(f"kmax: must be in [1, MAX_K_MAX = {MAX_K_MAX}], got {settings['kmax']}")
     if settings["op"] != "none" and not 1 <= settings["ksel"] <= settings["kmax"]:
         raise UsageError(f"ksel: must be in [1, kmax={settings['kmax']}], got {settings['ksel']}")
     if settings.get("workers", 1) < 1:

@@ -17,6 +17,9 @@ from .gaussian import TwoModeCM
 
 NORMALIZATION_ATOL = 1e-12
 DEFAULT_K_MAX = 5
+# Far above any supermode count in use; `point` at this k_max takes about 5 s,
+# while a mistyped 1e9 would allocate tens of GB before any other check.
+MAX_K_MAX = 10_000
 DEFAULT_DECAY = 2.0
 
 
@@ -82,6 +85,8 @@ def make_spectrum(
     scenario = Scenario(scenario)
     if k_max < 1:
         raise ValueError("empty spectrum")
+    if k_max > MAX_K_MAX:
+        raise ValueError(f"k_max = {k_max} exceeds MAX_K_MAX = {MAX_K_MAX}")
     if scenario is Scenario.SINGLE_MODE:
         lam = np.zeros(k_max)
         lam[0] = 1.0

@@ -48,11 +48,17 @@ class CheckResult:
     def failure_kind(self) -> str | None:
         if self.passed:
             return None
-        return "structural-mismatch" if self.max_deviation > STRUCTURAL_THRESHOLD else "tolerance-miss"
+        # NaN fails both comparisons: it is a structural mismatch.
+        return "tolerance-miss" if self.max_deviation <= STRUCTURAL_THRESHOLD else "structural-mismatch"
 
     def report_line(self) -> str:
         status = "PASS" if self.passed else f"FAIL[{self.failure_kind}]"
         return f"{status:26s} {self.name:32s} max_dev={self.max_deviation:.3e} tol={self.tolerance:.1e}"
+
+
+def _worst(*deviations: float) -> float:
+    """The largest deviation, or NaN if any is NaN (``max`` can drop a NaN)."""
+    return float(np.max(deviations))
 
 
 def check_heralded_ops(cm_tol: float = DEFAULT_CM_TOL, prob_tol: float = DEFAULT_PROB_TOL) -> list[CheckResult]:
@@ -67,13 +73,13 @@ def check_heralded_ops(cm_tol: float = DEFAULT_CM_TOL, prob_tol: float = DEFAULT
             for t in ORACLE_TRANSMISSIVITIES:
                 heralded = fock.herald(state, kind.ancilla_photons, kind.detected_photons, t)
                 a, b, c, p = heralded_entries(kind, xi_sq, t)
-                dev_cm = max(
+                dev_cm = _worst(
                     dev_cm,
                     abs(heralded.cm.a - float(a)),
                     abs(heralded.cm.b - float(b)),
                     abs(heralded.cm.c - float(c)),
                 )
-                dev_prob = max(dev_prob, abs(heralded.probability - float(p)))
+                dev_prob = _worst(dev_prob, abs(heralded.probability - float(p)))
         results.append(CheckResult(f"heralded-cm-{kind.value}", dev_cm, cm_tol))
         results.append(CheckResult(f"heralded-prob-{kind.value}", dev_prob, prob_tol))
     return results
@@ -85,7 +91,7 @@ def check_tmsv_cm(cm_tol: float = DEFAULT_CM_TOL) -> CheckResult:
     for r in ORACLE_SQUEEZINGS:
         oracle = fock.extract_cm(fock.build_tmsv(r))
         closed = epr_cm(r)
-        dev = max(dev, abs(oracle.a - closed.a), abs(oracle.b - closed.b), abs(oracle.c - closed.c))
+        dev = _worst(dev, abs(oracle.a - closed.a), abs(oracle.b - closed.b), abs(oracle.c - closed.c))
     return CheckResult("tmsv-cm", dev, cm_tol)
 
 
@@ -104,7 +110,7 @@ def check_mutual_information(mi_tol: float = DEFAULT_MI_TOL, draws: int = 200) -
         det = DetectorParams(eta_d=rng.uniform(0.3, 1.0), nu=rng.uniform(1.0, 1.5))
         pipeline = build_pipeline(cm, ch, det)
         info = subchannel_rates_batch([a], [b], [c], ch, det, RateParams())[1][0]
-        dev = max(dev, abs(mutual_information(pipeline) - info))
+        dev = _worst(dev, abs(mutual_information(pipeline) - info))
     return CheckResult("mutual-information-closed-form", dev, mi_tol)
 
 
@@ -120,7 +126,7 @@ def check_two_mode_symplectic(tol: float = DEFAULT_SYMPLECTIC_TOL, draws: int = 
         cm = TwoModeCM(float(a), float(b), float(c))
         closed = np.array(cm.symplectic_eigenvalues())
         generic = symplectic_eigenvalues(cm)
-        dev = max(dev, float(np.abs(np.sort(closed) - np.sort(generic)).max()))
+        dev = _worst(dev, *np.abs(np.sort(closed) - np.sort(generic)))
     return CheckResult("two-mode-symplectic-closed-form", dev, tol)
 
 

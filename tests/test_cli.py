@@ -6,13 +6,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from mmcvqkd import cli
+from mmcvqkd import cli, source
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
 from mmcvqkd.source import SourceParams, make_spectrum
 
-from golden_outputs import DATA, GOLDEN_RUNS
+import golden
+from golden import DATA, GOLDEN_RUNS
 
 
 def run_cli(args, capsys):
@@ -402,6 +403,22 @@ class TestBoundaryChecks:
         assert out == ""
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize("args, env", [
+        (["point", "--kmax", "1000000000"], {}),
+        (["optimize"], {"MMCVQKD_KMAX": "1000000000"}),
+    ], ids=["flag", "env"])
+    def test_kmax_above_ceiling_exits_2_before_allocating(self, capsys, monkeypatch, args, env):
+        def refuse(*shape, **kwargs):
+            raise AssertionError(f"allocated {shape}")
+        for name in ("zeros", "full", "arange"):
+            monkeypatch.setattr(source.np, name, refuse)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: kmax: must be in [1, MAX_K_MAX = 10000], got 1000000000\n"
+
     @pytest.mark.parametrize(
         "value, memory",
         [("1", True), ("true", True), ("yes", True), ("on", True),
@@ -428,13 +445,11 @@ OPTIONS = {
 
 
 class TestGoldenOutput:
-    # tests/golden_outputs.py writes the fixtures; a difference is an output
-    # change, to be re-pinned only on purpose.
+    # tests/golden.py writes the fixtures; a difference is an output change,
+    # to be re-pinned only on purpose.
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-    def test_records_match_fixture_bytes(self, tmp_path, name):
-        out = tmp_path / name
-        assert cli.main(GOLDEN_RUNS[name] + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / name).read_bytes()
+    def test_records_match_fixture_bytes(self, name):
+        golden.check_entry(name, 0)
 
     def test_each_subcommand_accepts_the_same_options(self):
         commands = cli.build_parser()._subparsers._group_actions[0].choices

@@ -239,38 +239,6 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
         assert np.array_equal(np.concatenate(singles), reference[sample]), k_sel
 
 
-# Default-grid k_sel = 3 optima: the whole solve, grid and refinement, must
-# reproduce exactly.
-@pytest.mark.parametrize(
-    "kind, loss_db, memory, pinned",
-    [
-        (OpKind.PC1, 22.0, False, (
-            "0x1.23c77ad01c58cp-9", "0x1.e1d9ca078e7bep+0",
-            ("0x1.ff7ced916872bp-1",) * 3, 390694,
-        )),
-        (OpKind.PC0, 30.0, True, (
-            "0x1.7755b8bd61be4p-12", "0x1.912085ebba058p+1",
-            ("0x1.81e7f9e6f5a73p-1", "0x1.c7937355d8866p-1", "0x1.ff7ced916872bp-1"), 390745,
-        )),
-    ],
-)
-def test_k3_optimum_pinned(kind, loss_db, memory, pinned):
-    result = optimize(_problem(
-        spectrum=make_spectrum("exp", 5, 2.0),
-        op_kind=kind,
-        k_sel=3,
-        channel=ChannelParams.from_loss_db(loss_db),
-        rate=RateParams(memory=memory),
-    ))
-    observed = (
-        result.best_rate.hex(),
-        result.best_g.hex(),
-        tuple(t.hex() for t in result.best_t),
-        result.evaluations,
-    )
-    assert observed == pinned
-
-
 def _search(f, seed, lo=0.0, hi=1.0, abs_tol=1e-4):
     """(value, rate, evaluations) of one line search; every evaluated point
     must lie in [lo, hi]."""
@@ -389,11 +357,11 @@ def test_second_g_maximum_in_one_bracket_is_kept():
     # exp/0-PC/k_sel = 1/memory: the rate along G has two maxima inside one
     # grid bracket. The start in the neighbouring G cell finds the better one,
     # near G = 2.6449; dropping G-neighbours too loses 2.1e-2 relative here.
+    # The optimum's bits are the optimum panel's second-g-maximum row.
     result = optimize(_problem(
         spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PC0, k_sel=1,
         channel=ChannelParams.from_loss_db(33.75), rate=RateParams(memory=True),
     ))
-    assert result.best_rate.hex() == "0x1.6c84cd2902b10p-14"
     assert result.best_g == pytest.approx(2.6449, abs=1e-4)
 
 
@@ -415,12 +383,12 @@ def test_box_end_is_reached():
 def test_none_reaches_the_gain_cap():
     # NONE at 0 dB: the best start sits on the gain cap, and the starts next
     # to it stop 2 * tol1 short of it; their box-end probes evaluate the cap.
+    # The optimum's bits are the optimum panel's first row.
     problem = _problem(
         spectrum=make_spectrum("exp", 5, 2.0), channel=ChannelParams.from_loss_db(0.0)
     )
     result = optimize(problem)
     assert result.best_g == problem.g_max
-    assert (result.best_rate.hex(), result.evaluations) == ("0x1.b929fee1650bdp+1", 141)
 
 
 def test_memory_optimum_not_below_dense_scan():

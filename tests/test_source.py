@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mmcvqkd import fock
+from mmcvqkd import fock, source
 from mmcvqkd.source import (
+    MAX_K_MAX,
     SourceParams,
     SupermodeSpectrum,
     epr_cm,
@@ -39,6 +40,19 @@ class TestMakeSpectrum:
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError, match="empty spectrum"):
             make_spectrum("uniform", 0)
+
+    @pytest.mark.parametrize("scenario", ["single", "uniform", "exp"])
+    @pytest.mark.parametrize("k_max", [MAX_K_MAX + 1, 10**9])
+    def test_k_max_ceiling(self, monkeypatch, scenario, k_max):
+        def refuse(*shape, **kwargs):
+            raise AssertionError(f"make_spectrum allocated {shape}")
+        for name in ("zeros", "full", "arange"):
+            monkeypatch.setattr(source.np, name, refuse)
+        with pytest.raises(ValueError, match=f"k_max = {k_max} exceeds MAX_K_MAX = 10000"):
+            make_spectrum(scenario, k_max)
+
+    def test_largest_k_max_builds(self):
+        assert make_spectrum("exp", MAX_K_MAX).k_max == MAX_K_MAX
 
     def test_bad_normalization_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
