@@ -321,7 +321,8 @@ def cmd_point(settings: dict) -> list[SweepRecord]:
     return [_record(settings, loss, settings["gain"], t_values, evaluations=1)]
 
 
-def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None) -> SweepRecord:
+def _optimize_at_loss(settings: dict, loss: float, trace: list | None = None) -> SweepRecord:
+    """The optimum's record; its refinement trace is appended to ``trace`` if given."""
     problem = OptimizationProblem(
         spectrum=_spectrum(settings),
         op_kind=OpKind(settings["op"]),
@@ -334,16 +335,8 @@ def _optimize_at_loss(settings: dict, loss: float, trace_path: str | None = None
         g_max=settings["g_max"] or None,
     )
     opt = optimize(problem)
-    if trace_path is not None:
-        payload = {
-            "evaluations": opt.evaluations,
-            "refinement_trace": [
-                {"params": list(params), "rate": rate} for params, rate in opt.trace
-            ],
-        }
-        with open(trace_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+    if trace is not None:
+        trace.extend({"params": list(params), "rate": rate} for params, rate in opt.trace)
     return _record(settings, loss, opt.best_g, opt.best_t, opt.evaluations)
 
 
@@ -356,8 +349,11 @@ def cmd_sweep(settings: dict) -> list[SweepRecord]:
     return [_optimize_at_loss(settings, loss) for loss in losses]
 
 
-def cmd_optimize(settings: dict, trace_path: str | None = None) -> list[SweepRecord]:
-    return [_optimize_at_loss(settings, _single_loss(settings, "optimize"), trace_path=trace_path)]
+def cmd_optimize(settings: dict) -> tuple[list[SweepRecord], dict]:
+    """The optimum's record, and its evaluation count and refinement trace."""
+    trace: list[dict] = []
+    record = _optimize_at_loss(settings, _single_loss(settings, "optimize"), trace)
+    return [record], {"evaluations": record.evaluations, "refinement_trace": trace}
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -401,6 +397,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     print(f"all {len(results)} checks passed")
     return 0
+
+
+def _check_writable(path: str) -> None:
+    """Raise OSError now, before any computation, if ``path`` cannot be written.
+
+    Opening for append leaves an existing file's contents as they are; a file
+    the check creates is removed again.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _add_setting_flags(parser: argparse.ArgumentParser, command: str) -> None:
@@ -452,23 +466,24 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         settings = _validated(build_settings(args))
-        out_path = settings["out"]
-        out_handle = None
-        if out_path:
-            # Fail on unwritable paths before any computation.
-            out_handle = open(out_path, "w", encoding="utf-8", newline="")
-        try:
-            if args.command == "point":
-                records = cmd_point(settings)
-            elif args.command == "sweep":
-                records = cmd_sweep(settings)
-            else:
-                records = cmd_optimize(settings, trace_path=getattr(args, "trace", None))
-            text = records_to_csv(records) if settings["format"] == "csv" else records_to_json(records)
-            (out_handle or sys.stdout).write(text)
-        finally:
-            if out_handle:
-                out_handle.close()
+        trace_path = getattr(args, "trace", None)
+        for path in (settings["out"], trace_path):
+            if path:
+                _check_writable(path)
+        if args.command == "point":
+            records = cmd_point(settings)
+        elif args.command == "sweep":
+            records = cmd_sweep(settings)
+        else:
+            records, trace = cmd_optimize(settings)
+        text = records_to_csv(records) if settings["format"] == "csv" else records_to_json(records)
+        # Written only now, so a run that fails leaves its output files as they were.
+        if trace_path:
+            _write(trace_path, json.dumps(trace, indent=2) + "\n")
+        if settings["out"]:
+            _write(settings["out"], text)
+        else:
+            sys.stdout.write(text)
     except (UsageError, ValueError) as exc:  # ValueError: domain validation (gain, T, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2

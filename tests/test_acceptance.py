@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from mmcvqkd import cli, fock
+from mmcvqkd import cli, verification
 from mmcvqkd.channel import ChannelParams, DetectorParams, build_pipeline
 from mmcvqkd.gaussian import TwoModeCM, entropy_g, symplectic_eigenvalues
 from mmcvqkd.keyrate import RateParams, subchannel_rate, total_rate, total_rate_batch
@@ -28,9 +28,8 @@ from mmcvqkd.operations import (
     apply_to_supermodes,
     heralded_entries,
 )
-from mmcvqkd.optimize import OptimizationProblem, optimize
+from mmcvqkd.optimize import T_MAX, T_MIN, OptimizationProblem, optimize
 from mmcvqkd.source import SourceParams, epr_cm, make_spectrum
-from mmcvqkd.verification import check_mutual_information
 
 ACTIVE_OPS = ("1ps", "1pa", "1pc", "0pc")
 LOSS_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0)
@@ -68,59 +67,53 @@ def _optimized(scenario: str, decay: float, op: str, k_sel: int, loss_db: float,
 
 def test_criterion_01_oracle_equivalence():
     started = time.monotonic()
-    worst_cm, worst_prob = 0.0, 0.0
-    for op in ACTIVE_OPS:
-        kind = OpKind(op)
-        for r in (0.3, 0.8, 1.2):
-            state = fock.build_tmsv(r)
-            for t in (0.5, 0.9):
-                oracle = fock.herald(state, kind.ancilla_photons, kind.detected_photons, t)
-                a, b, c, p = heralded_entries(kind, math.tanh(r) ** 2, t)
-                worst_cm = max(
-                    worst_cm,
-                    abs(oracle.cm.a - float(a)),
-                    abs(oracle.cm.b - float(b)),
-                    abs(oracle.cm.c - float(c)),
-                )
-                worst_prob = max(worst_prob, abs(oracle.probability - float(p)))
+    results = verification.check_heralded_ops()
     elapsed = time.monotonic() - started
-    passed = worst_cm <= 1e-6 and worst_prob <= 1e-8 and elapsed < 60.0
-    _report(1, passed, f"CM dev {worst_cm:.2e} (tol 1e-6), prob dev {worst_prob:.2e} "
-                       f"(tol 1e-8), runtime {elapsed:.1f}s (< 60s)")
-    assert worst_cm <= 1e-6
-    assert worst_prob <= 1e-8
+    # The worst deviation of each kind, for the report; np.max keeps a NaN.
+    worst_cm, worst_prob = (
+        float(np.max([r.max_deviation for r in results if r.name.startswith(prefix)]))
+        for prefix in ("heralded-cm-", "heralded-prob-")
+    )
+    failures = [result.report_line() for result in results if not result.passed]
+    passed = not failures and elapsed < 60.0
+    _report(1, passed, f"CM dev {worst_cm:.2e} (tol {verification.DEFAULT_CM_TOL:.0e}), "
+                       f"prob dev {worst_prob:.2e} (tol {verification.DEFAULT_PROB_TOL:.0e}), "
+                       f"runtime {elapsed:.1f}s (< 60s)")
+    assert not failures
     assert elapsed < 60.0
 
 
 def test_criterion_02_zero_catalysis_noiseless():
     r_grid = np.linspace(1.5 / 20, 1.5, 20)
     t_grid = np.linspace(0.05, 0.95, 20)
-    worst = 0.0
+    deviations = []
     for r in r_grid:
         a, b, c, _ = heralded_entries(OpKind.PC0, math.tanh(r) ** 2, t_grid)
-        worst = max(worst, float(np.abs((a * b - c**2) ** 2 - 1.0).max()))
+        deviations.append(np.abs((a * b - c**2) ** 2 - 1.0))
+    worst = float(np.max(deviations))  # np.max keeps a NaN, which fails the bound
     passed = worst <= 1e-10
     _report(2, passed, f"max |det - 1| = {worst:.2e} on 20x20 grid (tol 1e-10)")
     assert worst <= 1e-10
 
 
 def test_criterion_03_dual_path_mutual_information():
-    result = check_mutual_information(mi_tol=1e-12, draws=1000)
+    result = verification.check_mutual_information(mi_tol=1e-12, draws=1000)
     _report(3, result.passed, f"max deviation {result.max_deviation:.2e} over 1000 draws (tol 1e-12)")
     assert result.passed
 
 
 def test_criterion_04_physicality_suite():
+    # Each worst case is a numpy reduction, which keeps a NaN (Python's
+    # max/min can drop one); a NaN then fails its bound.
     # pure EPR states have unit symplectic spectrum
-    worst_purity = 0.0
-    for r in np.linspace(0.0, 2.5, 26):
-        spectrum = symplectic_eigenvalues(epr_cm(r))
-        worst_purity = max(worst_purity, float(np.abs(spectrum - 1.0).max()))
+    worst_purity = float(np.max([
+        np.abs(symplectic_eigenvalues(epr_cm(r)) - 1.0) for r in np.linspace(0.0, 2.5, 26)
+    ]))
 
     # every pipeline CM stays physical; chi never dips below -1e-9 pre-clamp
     rng = np.random.default_rng(4242)
-    worst_nu = np.inf
-    worst_chi = np.inf
+    nus = []
+    chis = []
     for _ in range(200):
         kind = OpKind(rng.choice([k.value for k in OpKind]))
         a, b, c, _ = heralded_entries(
@@ -130,12 +123,13 @@ def test_criterion_04_physicality_suite():
         det = DetectorParams(eta_d=rng.uniform(0.2, 1.0), nu=rng.uniform(1.0, 1.5))
         pipeline = build_pipeline(TwoModeCM(float(a), float(b), float(c)), ch, det)
         for cm in (pipeline.pre_measurement, pipeline.conditional):
-            worst_nu = min(worst_nu, float(symplectic_eigenvalues(cm).min()))
-        raw_chi = float(
+            nus.append(symplectic_eigenvalues(cm).min())
+        chis.append(
             np.sum(entropy_g(symplectic_eigenvalues(pipeline.after_channel)))
             - np.sum(entropy_g(symplectic_eigenvalues(pipeline.conditional)))
         )
-        worst_chi = min(worst_chi, raw_chi)
+    worst_nu = float(np.min(nus))
+    worst_chi = float(np.min(chis))
 
     ideal = build_pipeline(
         epr_cm(1.0), ChannelParams(eta_e=1.0, epsilon=0.0), DetectorParams(eta_d=1.0, nu=1.0)
@@ -255,7 +249,7 @@ def test_criterion_08_order_of_magnitude_vs_single_mode():
 
     ch = ChannelParams.from_loss_db(30.0)
     single = make_spectrum("single", 5)
-    t_grid = 1.0 - np.geomspace(1.0 - 0.999, 1.0 - 0.01, 4001)
+    t_grid = 1.0 - np.geomspace(1.0 - T_MAX, 1.0 - T_MIN, 4001)
     gains = np.full_like(t_grid, pinned_gain)
     single_best = -math.inf
     single_best_op = None

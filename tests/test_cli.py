@@ -10,6 +10,7 @@ from mmcvqkd import cli, source
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
+from mmcvqkd.optimize import G_MIN, T_MAX, T_MIN, gain_cap
 from mmcvqkd.source import SourceParams, make_spectrum
 
 import golden
@@ -123,12 +124,19 @@ class TestSweep:
         ):
             assert without.total_rate <= with_memory.total_rate + 1e-15
 
-    def test_workers_agree_with_serial(self, capsys, tmp_path):
-        base = ["sweep", "--scenario", "single", "--op", "none", "--loss-db", "5:15:5"]
+    @pytest.mark.parametrize(
+        "flags, workers",
+        [(["--scenario", "single", "--op", "none", "--loss-db", "5:15:5"], "3"),
+         (["--scenario", "exp", "--op", "0pc", "--ksel", "2", "--loss-db", "20:23:1",
+           "--grid-points", "5"], "2")],
+        ids=["single-none", "exp-0pc-ksel2"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_workers_agree_with_serial(self, tmp_path, flags, workers):
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        assert cli.main(base + ["--out", str(serial)]) == 0
-        assert cli.main(base + ["--out", str(parallel), "--workers", "3"]) == 0
+        assert cli.main(["sweep", *flags, "--out", str(serial)]) == 0
+        assert cli.main(["sweep", *flags, "--out", str(parallel), "--workers", workers]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_unwritable_output_path_fails_before_compute(self, capsys):
@@ -139,6 +147,24 @@ class TestSweep:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("previous", ["previous results\n", None], ids=["kept", "not-created"])
+    def test_failed_run_leaves_out_file_as_it_was(self, capsys, tmp_path, previous):
+        out = tmp_path / "keep.csv"
+        if previous is not None:
+            out.write_text(previous)
+        code, _, err = run_cli(["point", "--gain", "100", "--out", str(out)], capsys)
+        assert code == 2 and "MAX_SUPERMODE_SQUEEZING" in err
+        assert (out.read_text() if out.exists() else None) == previous
+
+    def test_unwritable_trace_fails_before_compute(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("optimized first"))
+        out = tmp_path / "x.csv"
+        out.write_text("previous results\n")
+        trace = str(tmp_path / "missing" / "t.json")
+        code, _, err = run_cli(["optimize", "--trace", trace, "--out", str(out)], capsys)
+        assert code == 1 and err.startswith("error: ") and "t.json" in err
+        assert out.read_text() == "previous results\n"
 
 
 class TestOutputFormats:
@@ -162,6 +188,31 @@ class TestOutputFormats:
         payload = json.loads(out)
         assert isinstance(payload, list) and payload[0]["scenario"] == "single"
         assert payload[0]["loss_db"] == 10.0
+
+    @pytest.mark.parametrize(
+        "flags, k_sel",
+        [(["--op", "1pc", "--ksel", "2", "--loss-db", "22"], 2),
+         (["--op", "none", "--loss-db", "0"], 0)],
+        ids=["1pc-ksel2-22dB", "none-0dB"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_trace_stays_in_the_box(self, capsys, tmp_path, flags, k_sel):
+        # Every evaluation after the grid_points^(1 + k_sel) grid is traced, and
+        # none leaves the box. The NONE run's box-end probes evaluate the gain cap.
+        trace = tmp_path / "trace.json"
+        code, _, _ = run_cli(
+            ["optimize", "--scenario", "exp", *flags, "--grid-points", "5", "--trace", str(trace)],
+            capsys,
+        )
+        assert code == 0
+        run = json.loads(trace.read_text())
+        points = [point["params"] for point in run["refinement_trace"]]
+        assert run["evaluations"] == 5 ** (1 + k_sel) + len(points)
+        assert all(len(params) == 1 + k_sel for params in points)
+        g_max = gain_cap(make_spectrum("exp", 5, 2.0))
+        assert all(G_MIN <= g <= g_max and all(T_MIN <= t <= T_MAX for t in ts) for g, *ts in points)
+        if k_sel == 0:
+            assert any(g == g_max for g, in points), "no probe evaluated the gain cap"
 
     def test_optimize_trace_output(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -237,15 +288,6 @@ class TestOutputFormats:
         header = cli.records_to_csv([])
         with pytest.raises(ValueError, match="CSV row 1: expected 13 cells, got 2"):
             cli.parse_csv_records(header + "1,2\n")
-
-    def test_byte_identical_runs(self, tmp_path):
-        args = ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1",
-                "--loss-db", "0:10:5"]
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        assert cli.main(args + ["--out", str(first)]) == 0
-        assert cli.main(args + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
 
 
 class TestConfigPrecedence:

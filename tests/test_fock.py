@@ -17,7 +17,6 @@ from mmcvqkd.fock import (
     quadrature_moments,
     tmsv_cutoff,
 )
-from mmcvqkd.source import epr_cm
 
 
 class TestBuildTmsv:
@@ -32,12 +31,6 @@ class TestBuildTmsv:
         prob = np.abs(state.amplitudes) ** 2
         mean_n = float((np.arange(prob.shape[0])[:, None] * prob).sum())
         assert mean_n == pytest.approx(math.sinh(r) ** 2, abs=1e-8)
-
-    def test_cm_matches_closed_form(self):
-        closed = epr_cm(1.2)
-        oracle = extract_cm(build_tmsv(1.2))
-        assert oracle.a == pytest.approx(closed.a, abs=1e-8)
-        assert oracle.c == pytest.approx(closed.c, abs=1e-8)
 
     def test_insufficient_truncation_rejected(self):
         needed = tmsv_cutoff(1.2)

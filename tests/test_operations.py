@@ -123,19 +123,6 @@ class TestClosedForms:
             assert np.all(untouched[3] == 1.0)
 
 
-class TestAgainstFockOracle:
-    @pytest.mark.parametrize("kind", ACTIVE)
-    @pytest.mark.parametrize("r,t", [(0.8, 0.5), (1.2, 0.9)])
-    def test_cm_and_probability(self, kind, r, t):
-        state = fock.build_tmsv(r)
-        heralded = fock.herald(state, kind.ancilla_photons, kind.detected_photons, t)
-        a, b, c, p = heralded_entries(kind, math.tanh(r) ** 2, t)
-        assert heralded.cm.a == pytest.approx(float(a), abs=1e-6)
-        assert heralded.cm.b == pytest.approx(float(b), abs=1e-6)
-        assert heralded.cm.c == pytest.approx(float(c), abs=1e-6)
-        assert heralded.probability == pytest.approx(float(p), abs=1e-8)
-
-
 class TestApplyToSupermodes:
     def test_no_selection_returns_plain_source(self):
         source = SourceParams(1.0, make_spectrum("exp", 5, 2.0))
