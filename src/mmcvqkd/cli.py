@@ -40,6 +40,11 @@ ENV_PREFIX = "MMCVQKD_"
 # A loss range may expand to at most this many points. A range beyond it is a
 # mistyped step, and building its list would exhaust memory before any output.
 MAX_LOSS_POINTS = 100_000
+# A sweep forks all of its workers at the first submit, each a copy of the
+# process (about 30 MB before it solves). This is far above the core count of
+# any machine this runs on, where extra workers only wait; a mistyped 100000
+# would exhaust memory or process ids before any output.
+MAX_WORKERS = 256
 
 _RUN_COMMANDS = ("point", "sweep", "optimize")
 
@@ -242,6 +247,8 @@ def _validated(settings: dict) -> dict:
         raise UsageError(f"ksel: must be in [1, kmax={settings['kmax']}], got {settings['ksel']}")
     if settings.get("workers", 1) < 1:
         raise UsageError(f"workers: must be >= 1, got {settings['workers']}")
+    if settings.get("workers", 1) > MAX_WORKERS:
+        raise UsageError(f"workers: must be <= MAX_WORKERS = {MAX_WORKERS}, got {settings['workers']}")
     if settings["attenuation"] <= 0.0:
         raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
     return settings
@@ -343,8 +350,9 @@ def _optimize_at_loss(settings: dict, loss: float, trace: list | None = None) ->
 def cmd_sweep(settings: dict) -> list[SweepRecord]:
     losses = _parse_loss_values(settings["loss_db"])
     if settings["workers"] > 1 and len(losses) > 1:
-        # pool.map keeps the order of ``losses``, which ascend.
-        with ProcessPoolExecutor(max_workers=settings["workers"]) as pool:
+        # pool.map keeps the order of ``losses``, which ascend. The pool forks
+        # every worker at once, so it gets no more than there are losses.
+        with ProcessPoolExecutor(max_workers=min(settings["workers"], len(losses))) as pool:
             return list(pool.map(_optimize_at_loss, [settings] * len(losses), losses))
     return [_optimize_at_loss(settings, loss) for loss in losses]
 

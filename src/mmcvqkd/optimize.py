@@ -41,9 +41,12 @@ from .source import SupermodeSpectrum
 MAX_SUPERMODE_SQUEEZING = 2.5
 DEFAULT_GRID_POINTS = 25
 RATE_TIE_ATOL = 1e-12
-# Memory guard on the combined grid: the kernel only sees per-mode tables of
-# at most grid_points^2 points, but the summed rate array holds every grid
-# point (25^4 is fine, 25^5 is not).
+# Memory guard on the grid call. It sums a rate array of grid_points^(1 + k_sel)
+# points (25^4 is fine, 25^5 is not), and its kernel evaluates a (G, T) table
+# of grid_points^2 points per operated supermode and a G axis per untouched
+# one, k_sel * n^2 + (k_max - k_sel) * n points at about 800 B of peak memory
+# each. The larger of the two counts is bounded: NONE at n = 2e6 over five
+# supermodes, or n = 1000 over 10,000, would be 1e7 kernel points, about 8 GB.
 MAX_GRID_SIZE = 2_000_000
 # Search box: G from G_MIN to the problem's g_max, each T_k in [T_MIN, T_MAX].
 # Refinement runs from at most 1 + MULTISTART starts (``_starts``), each for at
@@ -107,10 +110,13 @@ class OptimizationProblem:
         elif not G_MIN < self.g_max < math.inf:
             raise ValueError(f"g_max must be finite and above G_MIN = {G_MIN}, got {self.g_max}")
         check_bound_squeezing("g_max", self.g_max, self.spectrum)
-        if self.grid_points ** (1 + self.k_sel) > MAX_GRID_SIZE:
+        n, k_max = self.grid_points, self.spectrum.k_max
+        kernel_points = self.k_sel * n**2 + (k_max - self.k_sel) * n
+        if max(n ** (1 + self.k_sel), kernel_points) > MAX_GRID_SIZE:
             raise ValueError(
-                f"coarse grid of {self.grid_points}^{1 + self.k_sel} points "
-                f"exceeds {MAX_GRID_SIZE}; lower grid_points or k_sel"
+                f"coarse grid of grid_points = {n}: {n}^{1 + self.k_sel} points and "
+                f"{kernel_points} kernel points over k_max = {k_max} supermodes; the larger "
+                f"exceeds MAX_GRID_SIZE = {MAX_GRID_SIZE}; lower grid_points, k_sel or k_max"
             )
 
 

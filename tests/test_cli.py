@@ -2,7 +2,8 @@
 
 import json
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +38,20 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each process pool a sweep asks for. The pool maps
+    in this process and starts none."""
+    sizes = []
+
+    def serial_pool(max_workers):
+        sizes.append(max_workers)
+        return nullcontext(SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool)
+    return sizes
 
 
 class TestPoint:
@@ -139,6 +154,25 @@ class TestSweep:
         assert cli.main(["sweep", *flags, "--out", str(parallel), "--workers", workers]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_pool_has_at_most_one_worker_per_loss(self, capsys, pool_sizes):
+        args = ["sweep", "--scenario", "single", "--op", "none", "--loss-db", "5:15:5"]
+        serial = run_cli(args, capsys)
+        pooled = run_cli(args + ["--workers", "8"], capsys)
+        assert pool_sizes == [3]
+        assert pooled == serial
+
+    def test_workers_above_the_ceiling_exit_2_before_forking(self, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("solved"))
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "single", "--op", "none", "--loss-db", "5:15:5",
+             "--workers", "100000"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: workers: must be <= MAX_WORKERS = {cli.MAX_WORKERS}, got 100000\n"
+        assert pool_sizes == []
+
     def test_unwritable_output_path_fails_before_compute(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--scenario", "single", "--op", "none",
@@ -197,15 +231,19 @@ class TestOutputFormats:
     )
     @pytest.mark.filterwarnings("error")
     def test_trace_stays_in_the_box(self, capsys, tmp_path, flags, k_sel):
-        # Every evaluation after the grid_points^(1 + k_sel) grid is traced, and
-        # none leaves the box. The NONE run's box-end probes evaluate the gain cap.
+        # Every evaluation after the grid_points^(1 + k_sel) grid is traced, the
+        # trace file counts what the record counts, and no point leaves the box.
+        # The NONE run's box-end probes evaluate the gain cap.
         trace = tmp_path / "trace.json"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             ["optimize", "--scenario", "exp", *flags, "--grid-points", "5", "--trace", str(trace)],
             capsys,
         )
         assert code == 0
         run = json.loads(trace.read_text())
+        assert run["evaluations"] == cli.parse_csv_records(out)[0].evaluations
+        assert run["refinement_trace"]
+        assert all(set(point) == {"params", "rate"} for point in run["refinement_trace"])
         points = [point["params"] for point in run["refinement_trace"]]
         assert run["evaluations"] == 5 ** (1 + k_sel) + len(points)
         assert all(len(params) == 1 + k_sel for params in points)
@@ -213,20 +251,6 @@ class TestOutputFormats:
         assert all(G_MIN <= g <= g_max and all(T_MIN <= t <= T_MAX for t in ts) for g, *ts in points)
         if k_sel == 0:
             assert any(g == g_max for g, in points), "no probe evaluated the gain cap"
-
-    def test_optimize_trace_output(self, capsys, tmp_path):
-        trace = tmp_path / "trace.json"
-        code, out, _ = run_cli(
-            ["optimize", "--scenario", "single", "--op", "none", "--loss-db", "10",
-             "--trace", str(trace)],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(trace.read_text())
-        record = cli.parse_csv_records(out)[0]
-        assert payload["evaluations"] == record.evaluations
-        assert payload["refinement_trace"]
-        assert set(payload["refinement_trace"][0]) == {"params", "rate"}
 
     def test_saturating_gain_bound_is_named_error(self, capsys):
         code, out, err = run_cli(
@@ -460,6 +484,17 @@ class TestBoundaryChecks:
         assert code == 2
         assert out == ""
         assert err == "error: kmax: must be in [1, MAX_K_MAX = 10000], got 1000000000\n"
+
+    def test_kernel_points_above_the_grid_guard_exit_2_before_solving(self, capsys, monkeypatch):
+        # NONE evaluates k_max * grid_points kernel points: 1e7, about 8 GB.
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("solved"))
+        code, out, err = run_cli(
+            ["optimize", "--op", "none", "--kmax", "10000", "--grid-points", "1000"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: coarse grid of grid_points = 1000: ")
+        assert "k_max = 10000 supermodes" in err and "MAX_GRID_SIZE = 2000000" in err
 
     @pytest.mark.parametrize(
         "value, memory",

@@ -1,18 +1,32 @@
 """Property tests of the batch kernel.
 
-The n=1 kernel is checked against the dense pipeline oracle at points from the
-box the benchmark's oracle workload samples, for every active operation. The
-clamped total is checked to never rise with loss over a wide parameter box.
-"""
+``test_kernel_matches_dense_oracle`` is the suite's one comparison of the n=1
+kernel with the dense pipeline at random points: the mutual information, the
+Holevo bound (and that the dense one is not negative), and the rate against
+``subchannel_rate`` on ``apply_op``'s outcome. Its box is what the optimizer
+can ask of one supermode: every ``OpKind``, NONE included, r from 0 to
+MAX_SUPERMODE_SQUEEZING and T over [T_MIN, T_MAX]; 0-30 dB, up to criterion
+8's loss; noise around the defaults (excess noise up to 0.5, eta_d from 0.3,
+nu up to 1.5); and eta_r over its whole range, from
+MIN_RECONCILIATION_EFFICIENCY to 1, since the rate scales the information by
+it. The corners of the noise box, up to MAX_EXCESS_NOISE and
+MAX_DETECTOR_NOISE, where the dense path is itself less accurate (ROADMAP
+item 11), are ``test_keyrate.py``'s
+``test_batch_matches_scalar_at_the_noise_limits``.
 
-import math
+The clamped total is checked to never rise with loss over a wide parameter
+box.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmcvqkd.channel import (
+    DEFAULT_DETECTOR_EFFICIENCY,
+    DEFAULT_DETECTOR_NOISE,
+    DEFAULT_EXCESS_NOISE,
     MAX_DETECTOR_NOISE,
     MAX_EXCESS_NOISE,
     MIN_DETECTION_EFFICIENCY,
@@ -20,41 +34,49 @@ from mmcvqkd.channel import (
     DetectorParams,
     build_pipeline,
 )
-from mmcvqkd.gaussian import TwoModeCM
 from mmcvqkd.keyrate import (
+    DEFAULT_RECONCILIATION_EFFICIENCY,
     MIN_RECONCILIATION_EFFICIENCY,
     RateParams,
     holevo_bound,
     mutual_information,
+    subchannel_rate,
     subchannel_rates_batch,
     total_rate_batch,
 )
-from mmcvqkd.operations import OpKind, heralded_entries
+from mmcvqkd.operations import NonGaussianOpSpec, OpKind, apply_op
 from mmcvqkd.optimize import G_MIN, MAX_SUPERMODE_SQUEEZING, T_MAX, T_MIN
 from mmcvqkd.source import make_spectrum
-from mmcvqkd.verification import ACTIVE_KINDS, DEFAULT_CM_TOL, DEFAULT_MI_TOL
+from mmcvqkd.verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL
 
 RATE_TOL = 1e-10
 
 
-@pytest.mark.parametrize("kind", ACTIVE_KINDS, ids=[kind.value for kind in ACTIVE_KINDS])
+@pytest.mark.parametrize("kind", list(OpKind), ids=[kind.value for kind in OpKind])
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
-    r=st.floats(0.05, 2.0),
-    t=st.floats(0.05, 0.95),
+    r=st.floats(0.0, MAX_SUPERMODE_SQUEEZING),
+    t=st.floats(T_MIN, T_MAX),
     loss_db=st.floats(0.0, 30.0),
-    epsilon=st.floats(0.0, 0.2),
-    eta_d=st.floats(0.5, 1.0),
+    epsilon=st.floats(0.0, 0.5),
+    eta_d=st.floats(0.3, 1.0),
     nu=st.floats(1.0, 1.5),
+    eta_r=st.floats(MIN_RECONCILIATION_EFFICIENCY, 1.0),
 )
-def test_kernel_matches_dense_oracle(kind, r, t, loss_db, epsilon, eta_d, nu):
-    a, b, c, _ = heralded_entries(kind, math.tanh(r) ** 2, t)
-    cm = TwoModeCM(float(a), float(b), float(c))
+# The default point: r = 1 through 10 dB to the default detector.
+@example(
+    r=1.0, t=T_MAX, loss_db=10.0, epsilon=DEFAULT_EXCESS_NOISE, eta_d=DEFAULT_DETECTOR_EFFICIENCY,
+    nu=DEFAULT_DETECTOR_NOISE, eta_r=DEFAULT_RECONCILIATION_EFFICIENCY,
+)
+def test_kernel_matches_dense_oracle(kind, r, t, loss_db, epsilon, eta_d, nu, eta_r):
+    outcome = apply_op(NonGaussianOpSpec(kind, t), r)
+    cm = outcome.cm
     ch = ChannelParams.from_loss_db(loss_db, epsilon=epsilon)
     det = DetectorParams(eta_d=eta_d, nu=nu)
-    rate = RateParams()
+    rate = RateParams(eta_r=eta_r)
     pipeline = build_pipeline(cm, ch, det)
     info, chi = mutual_information(pipeline), holevo_bound(pipeline)
+    assert chi >= 0.0
 
     outputs = subchannel_rates_batch(
         np.array([cm.a]), np.array([cm.b]), np.array([cm.c]), ch, det, rate
@@ -63,7 +85,7 @@ def test_kernel_matches_dense_oracle(kind, r, t, loss_db, epsilon, eta_d, nu):
     batch_rate, batch_info, batch_chi = (float(values[0]) for values in outputs)
     assert abs(batch_info - info) <= DEFAULT_MI_TOL
     assert abs(batch_chi - chi) <= DEFAULT_CM_TOL
-    assert abs(batch_rate - (rate.eta_r * info - chi)) <= RATE_TOL
+    assert abs(batch_rate - subchannel_rate(outcome, ch, det, rate)) <= RATE_TOL
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -92,27 +92,6 @@ class TestOptimize:
             fine = optimize(_problem(grid_points=50, **overrides))
             assert fine.best_rate == pytest.approx(coarse.best_rate, rel=5e-3)
 
-    def test_deterministic(self):
-        problem = _problem(
-            spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PS1, k_sel=2
-        )
-        first = optimize(problem)
-        second = optimize(problem)
-        assert first.best_rate == second.best_rate
-        assert first.best_g == second.best_g
-        assert first.best_t == second.best_t
-        assert first.evaluations == second.evaluations
-
-    def test_trace_returned_without_a_flag(self):
-        for overrides in ({}, dict(op_kind=OpKind.PS1, k_sel=2, grid_points=6)):
-            problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), **overrides)
-            result = optimize(problem)
-            assert result.trace
-            params, rate = result.trace[0]
-            assert len(params) == 1 + problem.k_sel and isinstance(rate, float)
-            grid_size = problem.grid_points ** (1 + problem.k_sel)
-            assert result.evaluations == grid_size + len(result.trace)
-
     def test_none_stores_k_sel_zero(self):
         # NONE operates no supermode, whatever k_sel says.
         problem = _problem(spectrum=make_spectrum("exp", 5, 2.0), k_sel=3)
@@ -153,6 +132,11 @@ class TestOptimize:
             _problem(op_kind=OpKind.PC0, k_sel=6)
         with pytest.raises(ValueError, match="coarse grid"):
             _problem(op_kind=OpKind.PC0, k_sel=5)
+        # NONE evaluates k_max * grid_points kernel points: 1e7 in both.
+        with pytest.raises(ValueError, match="grid_points = 2000000: .* k_max = 5 supermodes"):
+            _problem(grid_points=2_000_000)
+        with pytest.raises(ValueError, match="grid_points = 1000: .* k_max = 10000 supermodes"):
+            _problem(spectrum=make_spectrum("single", 10_000), grid_points=1000)
         with pytest.raises(ValueError, match="g_max 40.0 .* MAX_SUPERMODE_SQUEEZING = 2.5"):
             _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
 
@@ -415,7 +399,9 @@ def test_refinement_stays_in_the_box():
         channel=ChannelParams.from_loss_db(30.0), rate=RateParams(memory=True),
     )
     result = optimize(problem)
+    assert result.trace
     assert len(result.trace) == result.evaluations - problem.grid_points**3
-    for params, _ in result.trace:
+    for params, rate in result.trace:
+        assert len(params) == 1 + problem.k_sel and isinstance(rate, float)
         assert G_MIN <= params[0] <= problem.g_max
         assert all(T_MIN <= t <= T_MAX for t in params[1:])
