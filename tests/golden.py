@@ -12,7 +12,7 @@
 - ``cli_*``: the whole output of one CLI run each.
 
 A change that moves an optimum, a herald or an output byte changes its file.
-The tests reproduce each file's ``tier1`` entries byte for byte. Rewrite
+``tests/test_golden.py`` reproduces each file's ``tier1`` entries byte for byte. Rewrite
 every file with
 
     PYTHONPATH=src python3 tests/golden.py && git diff --stat tests/data
@@ -173,8 +173,7 @@ class Golden(NamedTuple):
 
     entries: list
     text: Callable[..., str]
-    tier1: list[int]  # the entries tier-1 reproduces
-    ids: list[str]  # the test id of each tier-1 entry
+    tier1: dict[str, int]  # the test id and index of each entry tier-1 reproduces
     head: Callable[..., str] | None = None  # the start of each line; None: one entry per file
 
 
@@ -188,14 +187,14 @@ _PANEL_TIER1 = sorted(
 
 GOLDEN = {
     "optimum_panel.txt": Golden(
-        PANEL_ROWS, lambda row: solve_line(*row) + "\n", _PANEL_TIER1,
-        [panel_id(*PANEL_ROWS[i]) for i in _PANEL_TIER1], lambda row: panel_head(*row),
+        PANEL_ROWS, lambda row: solve_line(*row) + "\n",
+        {panel_id(*PANEL_ROWS[i]): i for i in _PANEL_TIER1}, lambda row: panel_head(*row),
     ),
     "fock_oracle.txt": Golden(
-        FOCK_CASES, lambda case: herald_line(case) + "\n", list(range(len(FOCK_CASES))),
-        [f"{c.op.value}-r{c.r}-t{c.t}" for c in FOCK_CASES], fock_head,
+        FOCK_CASES, lambda case: herald_line(case) + "\n",
+        {f"{c.op.value}-r{c.r}-t{c.t}": i for i, c in enumerate(FOCK_CASES)}, fock_head,
     ),
-    **{name: Golden([args], cli_text, [0], [name]) for name, args in GOLDEN_RUNS.items()},
+    **{name: Golden([args], cli_text, {name: 0}) for name, args in GOLDEN_RUNS.items()},
 }
 
 

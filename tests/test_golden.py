@@ -1,8 +1,9 @@
-"""The Fock oracle's golden file (``tests/data/fock_oracle.txt``, written by
-``tests/golden.py``).
+"""Every golden file in ``tests/data/``, whose entries and writer are in ``tests/golden.py``.
 
-Every case is heralded again and must print the committed line byte for byte.
-The last two tests cover the messages of ``tests/golden.py`` itself.
+Each file with one line per entry lists every entry in order, and each
+tier-1 entry is computed again and must print its committed text byte for
+byte. CI rewrites every file and compares it. The last tests cover the
+messages of ``tests/golden.py`` itself.
 """
 
 import platform
@@ -12,16 +13,18 @@ import pytest
 
 import golden
 
-FILE = "fock_oracle.txt"
+
+@pytest.mark.parametrize("name", [name for name, entry in golden.GOLDEN.items() if entry.head])
+def test_file_lists_every_entry_in_order(name):
+    golden.check_order(name)
 
 
-def test_file_lists_every_case_in_order():
-    golden.check_order(FILE)
-
-
-@pytest.mark.parametrize("index", golden.GOLDEN[FILE].tier1, ids=golden.GOLDEN[FILE].ids)
-def test_case_is_reproduced(index):
-    golden.check_entry(FILE, index)
+@pytest.mark.parametrize("name, index", [
+    pytest.param(name, index, id=test_id)
+    for name, entry in golden.GOLDEN.items() for test_id, index in entry.tier1.items()
+])
+def test_entry_is_reproduced(name, index):
+    golden.check_entry(name, index)
 
 
 @pytest.mark.parametrize("name, index, row, line", [
