@@ -375,6 +375,18 @@ def records_to_json(records: list[SweepRecord]) -> str:
     return json.dumps([asdict(record) for record in records], indent=2) + "\n"
 
 
+def _read_cell(name: str, write, read, cell: str, row: int) -> object:
+    """``read(cell)``, accepting exactly the cells that ``write`` writes."""
+    try:
+        value = read(cell)
+    except ValueError:
+        pass
+    else:
+        if write(value) == cell:
+            return value
+    raise ValueError(f"CSV row {row}, column {name}: {cell!r} is not a cell records_to_csv writes")
+
+
 def parse_csv_records(text: str) -> list[SweepRecord]:
     """Inverse of ``records_to_csv``; numeric columns round-trip bit-exactly."""
     lines = [line for line in text.splitlines() if line]
@@ -385,7 +397,8 @@ def parse_csv_records(text: str) -> list[SweepRecord]:
         cells = line.split(",")
         if len(cells) != len(_CSV_COLUMNS):
             raise ValueError(f"CSV row {row}: expected {len(_CSV_COLUMNS)} cells, got {len(cells)}")
-        records.append(SweepRecord(*(read(cell) for (_, _, read), cell in zip(_CSV_COLUMNS, cells))))
+        values = (_read_cell(*column, cell, row) for column, cell in zip(_CSV_COLUMNS, cells))
+        records.append(SweepRecord(*values))
     return records
 
 

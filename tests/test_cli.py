@@ -1,6 +1,7 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
+import re
 import signal
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
@@ -309,9 +310,20 @@ class TestOutputFormats:
             cli.parse_csv_records("loss_db,eta_e\n10,0.1\n")
 
     def test_malformed_csv_row_is_named(self):
-        header = cli.records_to_csv([])
-        with pytest.raises(ValueError, match="CSV row 1: expected 13 cells, got 2"):
-            cli.parse_csv_records(header + "1,2\n")
+        record = cli.SweepRecord(10.0, 0.1, 50.0, "exp", "0pc", 2, True, 1.5, (0.9, 0.8), 0.01,
+                                 (0.006, 0.004), (0.5, 0.5), 77)
+        header, row = cli.records_to_csv([record]).splitlines()
+        assert cli.parse_csv_records(f"{header}\n{row}\n") == [record]
+        cells = row.split(",")
+        for column, cell, message in [
+            (None, None, "CSV row 1: expected 13 cells, got 2"),
+            (6, "yes", "CSV row 1, column memory: 'yes'"),
+            (8, "0.9;;0.8", "CSV row 1, column best_T: '0.9;;0.8'"),
+            (5, "two", "CSV row 1, column k_sel: 'two'"),
+        ]:
+            bad = "1,2" if column is None else ",".join(cells[:column] + [cell] + cells[column + 1:])
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cli.parse_csv_records(f"{header}\n{bad}\n")
 
 
 class TestConfigPrecedence:
