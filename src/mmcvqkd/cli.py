@@ -491,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         for path in (settings["out"], trace_path):
             if path:
                 _check_writable(path)
+        out_path = settings["out"]
+        if out_path and trace_path and os.path.realpath(out_path) == os.path.realpath(trace_path):
+            raise UsageError(f"out and trace: {out_path!r} and {trace_path!r} are the same file")
         if args.command == "point":
             records = cmd_point(settings)
         elif args.command == "sweep":

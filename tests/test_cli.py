@@ -201,6 +201,19 @@ class TestSweep:
         assert code == 1 and err.startswith("error: ") and "t.json" in err
         assert out.read_text() == "previous results\n"
 
+    def test_out_and_trace_as_one_file_exit_2_before_compute(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("optimized first"))
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "run.json"
+        out.write_text("previous results\n")
+        trace = str(tmp_path / "sub" / ".." / "run.json")
+        code, stdout, err = run_cli(
+            ["optimize", "--format", "json", "--out", str(out), "--trace", trace], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: out and trace: {str(out)!r} and {trace!r} are the same file\n"
+        assert out.read_text() == "previous results\n"
+
 
 class TestOutputFormats:
     def test_csv_round_trip_bit_exact(self, capsys):
