@@ -59,7 +59,10 @@ class ChannelParams:
     def from_loss_db(cls, loss_db: float, epsilon: float = DEFAULT_EXCESS_NOISE) -> "ChannelParams":
         if not 0.0 <= loss_db < math.inf:
             raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
-        return cls(eta_e=10.0 ** (-loss_db / 10.0), epsilon=epsilon)
+        eta_e = 10.0 ** (-loss_db / 10.0)
+        if eta_e == 0.0:  # above about 3233 dB, below the smallest subnormal
+            raise ValueError(f"loss {loss_db} dB rounds the channel transmissivity to 0")
+        return cls(eta_e=eta_e, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

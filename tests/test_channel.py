@@ -1,6 +1,7 @@
 """Channel evolution and detector assembly against symplectic constructions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,9 +66,10 @@ class TestChannelEvolve:
             ChannelParams(eta_e=0.5, epsilon=float("nan"))
         with pytest.raises(ValueError, match="thermal noise"):
             DetectorParams(nu=float("nan"))
-        for loss_db in (float("nan"), float("inf")):
+        for loss_db in (float("nan"), float("inf"), 4000.0):
             with pytest.raises(ValueError, match="loss"):
                 ChannelParams.from_loss_db(loss_db)
+        assert 0.0 < ChannelParams.from_loss_db(3230.0).eta_e < sys.float_info.min  # subnormal
 
     def test_noise_limits(self):
         ChannelParams(eta_e=0.5, epsilon=MAX_EXCESS_NOISE)
