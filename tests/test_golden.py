@@ -27,6 +27,17 @@ def test_entry_is_reproduced(name, index):
     golden.check_entry(name, index)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:5] + lines[6:],  # a line dropped
+    lambda lines: lines[:5] + lines[6:7] + lines[5:6] + lines[7:],  # two lines swapped
+], ids=["dropped", "swapped"])
+def test_misordered_file_is_named(monkeypatch, edit):
+    lines = golden.committed("optimum_panel.txt")
+    monkeypatch.setattr(golden, "committed", lambda name: edit(lines))
+    with pytest.raises(AssertionError, match="tests/data/optimum_panel.txt: "):
+        golden.check_order("optimum_panel.txt")
+
+
 @pytest.mark.parametrize("name, index, row, line", [
     ("fock_oracle.txt", 3, 0, 4),  # one line per entry
     ("cli_sweep.csv", 0, 2, 3),  # one entry per file
