@@ -1,7 +1,6 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
-import re
 import signal
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
@@ -203,16 +202,10 @@ class TestSweep:
 
     def test_out_and_trace_as_one_file_exit_2_before_compute(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("optimized first"))
-        (tmp_path / "sub").mkdir()
-        out = tmp_path / "run.json"
-        out.write_text("previous results\n")
-        trace = str(tmp_path / "sub" / ".." / "run.json")
-        code, stdout, err = run_cli(
-            ["optimize", "--format", "json", "--out", str(out), "--trace", trace], capsys
-        )
+        out, trace = str(tmp_path / "run.json"), f"{tmp_path}/./run.json"
+        code, stdout, err = run_cli(["optimize", "--out", out, "--trace", trace], capsys)
         assert code == 2 and stdout == ""
-        assert err == f"error: out and trace: {str(out)!r} and {trace!r} are the same file\n"
-        assert out.read_text() == "previous results\n"
+        assert err == f"error: out and trace: {out!r} and {trace!r} are the same file\n"
 
 
 class TestOutputFormats:
@@ -323,20 +316,16 @@ class TestOutputFormats:
             cli.parse_csv_records("loss_db,eta_e\n10,0.1\n")
 
     def test_malformed_csv_row_is_named(self):
-        record = cli.SweepRecord(10.0, 0.1, 50.0, "exp", "0pc", 2, True, 1.5, (0.9, 0.8), 0.01,
-                                 (0.006, 0.004), (0.5, 0.5), 77)
-        header, row = cli.records_to_csv([record]).splitlines()
-        assert cli.parse_csv_records(f"{header}\n{row}\n") == [record]
-        cells = row.split(",")
-        for column, cell, message in [
-            (None, None, "CSV row 1: expected 13 cells, got 2"),
-            (6, "yes", "CSV row 1, column memory: 'yes'"),
-            (8, "0.9;;0.8", "CSV row 1, column best_T: '0.9;;0.8'"),
-            (5, "two", "CSV row 1, column k_sel: 'two'"),
+        header = cli.records_to_csv([])
+        row = "10,0.5,50,exp,0pc,2,true,1.5,0.75;0.5,0.25,0.125;0.125,0.5;0.5,77"
+        for bad, message in [
+            ("1,2", "CSV row 1: expected 13 cells, got 2"),
+            (row.replace("true", "yes"), "CSV row 1, column memory: 'yes'"),
+            (row.replace("0.75;0.5", "0.75;;0.5"), "CSV row 1, column best_T: '0.75;;0.5'"),
+            (row.replace(",2,", ",two,"), "CSV row 1, column k_sel: 'two'"),
         ]:
-            bad = "1,2" if column is None else ",".join(cells[:column] + [cell] + cells[column + 1:])
-            with pytest.raises(ValueError, match=re.escape(message)):
-                cli.parse_csv_records(f"{header}\n{bad}\n")
+            with pytest.raises(ValueError, match=message):
+                cli.parse_csv_records(header + bad + "\n")
 
 
 class TestConfigPrecedence:

@@ -27,13 +27,10 @@ def test_entry_is_reproduced(name, index):
     golden.check_entry(name, index)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda lines: lines[:5] + lines[6:],  # a line dropped
-    lambda lines: lines[:5] + lines[6:7] + lines[5:6] + lines[7:],  # two lines swapped
-], ids=["dropped", "swapped"])
-def test_misordered_file_is_named(monkeypatch, edit):
+@pytest.mark.parametrize("order", [[0, 1, 3], [0, 2, 1, 3]], ids=["dropped", "swapped"])
+def test_misordered_file_is_named(monkeypatch, order):
     lines = golden.committed("optimum_panel.txt")
-    monkeypatch.setattr(golden, "committed", lambda name: edit(lines))
+    monkeypatch.setattr(golden, "committed", lambda name: [lines[i] for i in order] + lines[4:])
     with pytest.raises(AssertionError, match="tests/data/optimum_panel.txt: "):
         golden.check_order("optimum_panel.txt")
 
