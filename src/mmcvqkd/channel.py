@@ -60,7 +60,7 @@ class ChannelParams:
         if not 0.0 <= loss_db < math.inf:
             raise ValueError(f"loss must be finite and >= 0 dB, got {loss_db}")
         eta_e = 10.0 ** (-loss_db / 10.0)
-        if eta_e == 0.0:  # above about 3233 dB, below the smallest subnormal
+        if eta_e == 0.0:  # underflows above about 3233 dB
             raise ValueError(f"loss {loss_db} dB rounds the channel transmissivity to 0")
         return cls(eta_e=eta_e, epsilon=epsilon)
 
