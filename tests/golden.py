@@ -12,8 +12,8 @@
 - ``cli_*``: the whole output of one CLI run each.
 
 A change that moves an optimum, a herald or an output byte changes its file.
-``tests/test_golden.py`` reproduces each file's ``tier1`` entries byte for
-byte. Rewrite every file with
+``tests/test_golden.py`` and, for the Fock oracle, ``tests/test_fock_golden.py``
+reproduce each file's ``tier1`` entries byte for byte. Rewrite every file with
 
     PYTHONPATH=src python3 tests/golden.py && git diff --stat tests/data
 

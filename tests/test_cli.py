@@ -535,7 +535,9 @@ OPTIONS = {
 }
 
 
-class TestSubcommandOptions:
+class TestGoldenOutput:
+    # Options that must leave the output of tests/data/cli_point.csv as it is,
+    # and those each subcommand accepts or rejects.
     def test_each_subcommand_accepts_the_same_options(self):
         commands = cli.build_parser()._subparsers._group_actions[0].choices
         accepted = {

@@ -1,27 +1,27 @@
-"""Every golden file in ``tests/data/``, whose entries and writer are in ``tests/golden.py``.
+"""Every golden file in ``tests/data/`` but the Fock oracle's, whose entries
+and writer are in ``tests/golden.py``.
 
-Each file with one line per entry lists every entry in order, and each
-tier-1 entry is computed again and must print its committed text byte for
-byte. CI rewrites every file and compares it. The last tests cover the
-messages of ``tests/golden.py`` itself.
+The optimum panel lists every row in order, and each tier-1 entry is
+computed again and must print its committed text byte for byte. CI rewrites
+every file and compares it. ``tests/test_fock_golden.py`` checks
+``fock_oracle.txt`` and the mismatch messages of ``tests/golden.py``.
 """
 
-import platform
-
-import numpy as np
 import pytest
 
 import golden
 
+FILES = {name: entry for name, entry in golden.GOLDEN.items() if name != "fock_oracle.txt"}
 
-@pytest.mark.parametrize("name", [name for name, entry in golden.GOLDEN.items() if entry.head])
+
+@pytest.mark.parametrize("name", [name for name, entry in FILES.items() if entry.head])
 def test_file_lists_every_entry_in_order(name):
     golden.check_order(name)
 
 
 @pytest.mark.parametrize("name, index", [
     pytest.param(name, index, id=test_id)
-    for name, entry in golden.GOLDEN.items() for test_id, index in entry.tier1.items()
+    for name, entry in FILES.items() for test_id, index in entry.tier1.items()
 ])
 def test_entry_is_reproduced(name, index):
     golden.check_entry(name, index)
@@ -33,25 +33,3 @@ def test_misordered_file_is_named(monkeypatch, order):
     monkeypatch.setattr(golden, "committed", lambda name: [lines[i] for i in order] + lines[4:])
     with pytest.raises(AssertionError, match="tests/data/optimum_panel.txt: "):
         golden.check_order("optimum_panel.txt")
-
-
-@pytest.mark.parametrize("name, index, row, line", [
-    ("fock_oracle.txt", 3, 0, 4),  # one line per entry
-    ("cli_sweep.csv", 0, 2, 3),  # one entry per file
-])
-def test_mismatch_names_file_line_and_environment(monkeypatch, name, index, row, line):
-    rows = golden.committed(name)[index].splitlines(keepends=True)
-    rows[row] = rows[row][:-2] + "#\n"
-    monkeypatch.setitem(golden.GOLDEN, name, golden.GOLDEN[name]._replace(text=lambda _: "".join(rows)))
-    with pytest.raises(AssertionError) as failure:
-        golden.check_entry(name, index)
-    message = str(failure.value)
-    assert f"tests/data/{name} line {line} differs" in message
-    assert f"this run:  {rows[row].rstrip()}" in message
-    assert golden.environment() in message
-
-
-def test_environment_without_cpu_features(monkeypatch):
-    umath = np._core._multiarray_umath
-    monkeypatch.delattr(umath, "__cpu_features__")
-    assert golden.environment() == f"numpy {np.__version__}, dispatch unknown, Python {platform.python_version()}"
