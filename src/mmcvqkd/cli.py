@@ -349,6 +349,8 @@ def _optimize_at_loss(settings: dict, loss: float, trace: list | None = None) ->
 
 def cmd_sweep(settings: dict) -> list[SweepRecord]:
     losses = _parse_loss_values(settings["loss_db"])
+    for loss in losses:  # a loss the channel rejects fails before the first solve
+        _channel(settings, loss)
     if settings["workers"] > 1 and len(losses) > 1:
         # pool.map keeps the order of ``losses``, which ascend. The pool forks
         # every worker at once, so it gets no more than there are losses.

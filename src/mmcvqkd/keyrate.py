@@ -31,6 +31,11 @@ MIN_RECONCILIATION_EFFICIENCY = 0.5
 # chi is nonnegative up to rounding. Both paths set a chi within this of zero
 # to exactly zero; a more negative chi passes through unchanged.
 CHI_CLAMP_TOL = 1e-9
+# The open-mesh grid is folded from its per-mode tables this many elements at
+# a time, in blocks of whole rows along its first (G) axis. 2**15 float64 are
+# 256 KiB, so a block's running sum and probability product stay in cache
+# instead of streaming grid-sized temporaries through memory.
+FOLD_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -211,9 +216,16 @@ def total_rate_batch(
     The per-mode rate tables are then accumulated with an explicit loop in
     ascending supermode order, not with ``np.sum`` over the mode axis, whose
     association numpy chooses by memory layout (pairwise along a contiguous
-    axis). A total is therefore bit-identical whichever layout, batch size or
-    split into calls produced it, which is what the grid and the refinement
-    rely on.
+    axis). Without memory the sum is multiplied by the product of the
+    operated supermodes' probabilities, formed in the same order; the
+    untouched ones herald with p exactly 1.0, so leaving them out changes no
+    bit. A point list is folded in one piece. An open mesh is folded into a
+    preallocated grid in blocks of whole rows along its first axis, about
+    FOLD_BLOCK_ELEMENTS at a time, so no grid-sized temporary is made; each
+    element still gets the same adds and multiplies in the same order. A
+    total is therefore bit-identical whichever layout, batch size, block
+    size or split into calls produced it, which is what the grid and the
+    refinement rely on.
     """
     gains = np.asarray(gains, dtype=float)
     xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
@@ -228,15 +240,20 @@ def total_rate_batch(
             shapes.append(xi_sq_k.shape)
             flat_xi_sq.append(xi_sq_k.ravel())
         split = sum(t_k.size for t_k in flat_t)
+        n_operated = len(flat_t)
         t_operated = np.concatenate(flat_t) if flat_t else None
         xi_sq = np.concatenate(flat_xi_sq)
         bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        # Every table gets the grid's number of axes, so that a block of grid
+        # rows is a slice of axis 0 in each table whose axis 0 is not 1.
+        ndim = max(len(shape) for shape in shapes)
+        shapes = [(1,) * (ndim - len(shape)) + shape for shape in shapes]
 
         def per_mode(values):
             return [values[i:j].reshape(s) for i, j, s in zip(bounds, bounds[1:], shapes)]
     else:
         t = np.asarray(transmissivities, dtype=float)
-        split = t.shape[1]
+        split = n_operated = t.shape[1]
         t_operated = t.T
 
         def per_mode(values):
@@ -249,14 +266,32 @@ def total_rate_batch(
     rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
     if clamp:
         rates = np.maximum(rates, 0.0)
+    rate_tables = per_mode(rates)
+    # NONE heralds with p exactly 1.0, so the untouched modes leave the product as it is.
+    prob_tables = [] if rate.memory else per_mode(p)[:n_operated]
+    if not isinstance(transmissivities, tuple):
+        return _fold(rate_tables, prob_tables)
+    grid = np.empty(np.broadcast_shapes(*shapes))
+    rows = max(1, FOLD_BLOCK_ELEMENTS // math.prod(grid.shape[1:]))
+    for start in range(0, len(grid), rows):
+        block = slice(start, start + rows)
+        _fold(
+            [table[block] if len(table) > 1 else table for table in rate_tables],
+            [table[block] if len(table) > 1 else table for table in prob_tables],
+            out=grid[block],
+        )
+    return grid
+
+
+def _fold(rate_tables, prob_tables, out=None):
+    """Sum of the per-mode rate tables times the product of the probability
+    tables, broadcast together, each accumulated in ascending mode order."""
     total = 0.0
-    for rates_k in per_mode(rates):
-        # Not `+=`: an in-place update cannot grow to the broadcast shape of an
-        # open mesh, where the per-mode terms meet the full grid only here.
-        total = total + rates_k
-    if not rate.memory:
+    for rates_k in rate_tables:
+        total = np.add(total, rates_k, out=out)
+    if len(prob_tables):
         probability = 1.0
-        for p_k in per_mode(p):
+        for p_k in prob_tables:
             probability = probability * p_k
-        total = total * probability
+        total = np.multiply(total, probability, out=out)
     return total

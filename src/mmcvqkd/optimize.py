@@ -14,8 +14,11 @@ Sub-channel k depends only on (G * lambda_k, T_k), so the grid is evaluated
 on an open mesh: the kernel sees each operated supermode on its (G, T_k)
 plane and each untouched one on the G axis alone, and the full grid exists
 only as the broadcast sum (times the product of heralding probabilities
-without memory) of these per-mode tables. The optimum is bit-identical to
-evaluating every grid point in full.
+without memory) of these per-mode tables, folded into one array a block of G
+rows at a time. The optimum is bit-identical to evaluating every grid point
+in full. The multistart searches only the G rows whose best rate reaches the
+MULTISTART-th best row maximum; every one of the MULTISTART best rates lies
+in such a row.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ from .source import SupermodeSpectrum
 MAX_SUPERMODE_SQUEEZING = 2.5
 DEFAULT_GRID_POINTS = 25
 RATE_TIE_ATOL = 1e-12
-# Memory guard on the grid call. It sums a rate array of grid_points^(1 + k_sel)
-# points (25^4 is fine, 25^5 is not), and its kernel evaluates a (G, T) table
-# of grid_points^2 points per operated supermode and a G axis per untouched
-# one, k_sel * n^2 + (k_max - k_sel) * n points at about 800 B of peak memory
-# each. The larger of the two counts is bounded: NONE at n = 2e6 over five
+# Memory guard on the grid call. Its combined grid is one float64 array of
+# grid_points^(1 + k_sel) points (25^4 is fine, 25^5 is not), folded from the
+# per-mode tables in cache-sized blocks with no grid-sized temporary; with the
+# start pick's copy of its rows (the whole grid on a flat plateau) that is at
+# most 16 B per point. Its kernel evaluates a (G, T) table of grid_points^2
+# points per operated supermode and a G axis per untouched one,
+# k_sel * n^2 + (k_max - k_sel) * n points at about 800 B of peak memory each.
+# The larger of the two counts is bounded: NONE at n = 2e6 over five
 # supermodes, or n = 1000 over 10,000, would be 1e7 kernel points, about 8 GB.
 MAX_GRID_SIZE = 2_000_000
 # Search box: G from G_MIN to the problem's g_max, each T_k in [T_MIN, T_MAX].
@@ -171,15 +177,22 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
     """Flat indices of the ``count`` largest rates, largest first.
 
     Equal rates put the larger index first, the order of
-    ``np.argsort(rates, kind="stable")[::-1]``, without sorting the grid:
-    each pick is one argmax over a reversed copy, whose first maximum is the
-    last one in index order, and then masks the picked entry.
+    ``np.argsort(rates.ravel(), kind="stable")[::-1]``, without sorting the
+    grid. Only the rows (along axis 0) whose maximum reaches the
+    ``count``-th largest row maximum are searched: at least ``count`` entries
+    reach it, so every pick lies in such a row. Those rows are gathered in
+    ascending order and reversed, so the first maximum of an argmax is the
+    last one in index order; each pick then masks its entry.
     """
-    backwards = rates[::-1].copy()
+    rows = rates.reshape(len(rates), -1)
+    row_max = rows.max(axis=1)
+    kept = np.flatnonzero(row_max >= np.sort(row_max)[-min(count, len(row_max))])
+    backwards = rows[kept[::-1], ::-1].ravel()
     picked = []
-    for _ in range(min(count, rates.size)):
+    for _ in range(min(count, backwards.size)):
         index = int(np.argmax(backwards))
-        picked.append(rates.size - 1 - index)
+        row, column = divmod(backwards.size - 1 - index, rows.shape[1])
+        picked.append(int(kept[row]) * rows.shape[1] + column)
         backwards[index] = -np.inf
     return picked
 
@@ -195,7 +208,7 @@ def _starts(grid: np.ndarray, best: tuple[int, ...]) -> list[tuple[int, ...]]:
     With no T axes this drops exact duplicates only.
     """
     kept = [tuple(int(i) for i in best)]
-    for index in _top_indices(grid.ravel(), MULTISTART):
+    for index in _top_indices(grid, MULTISTART):
         cell = tuple(int(i) for i in np.unravel_index(index, grid.shape))
         if not any(
             cell[0] == other[0] and all(abs(a - b) <= 1 for a, b in zip(cell[1:], other[1:]))

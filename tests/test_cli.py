@@ -173,6 +173,23 @@ class TestSweep:
         assert err == f"error: workers: must be <= MAX_WORKERS = {cli.MAX_WORKERS}, got 100000\n"
         assert pool_sizes == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_loss_past_the_underflow_exits_2_before_any_solve(
+        self, capsys, monkeypatch, pool_sizes, tmp_path, workers
+    ):
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("solved"))
+        out = tmp_path / "sweep.csv"
+        out.write_text("previous results\n")
+        code, stdout, err = run_cli(
+            ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "2", "--loss-db", "0:3300:10",
+             "--workers", workers, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and stdout == ""
+        assert err == "error: loss 3240.0 dB rounds the channel transmissivity to 0\n"
+        assert pool_sizes == []
+        assert out.read_text() == "previous results\n"
+
     def test_unwritable_output_path_fails_before_compute(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--scenario", "single", "--op", "none",

@@ -13,6 +13,7 @@ from mmcvqkd.operations import (
     apply_to_supermodes,
     heralded_entries,
 )
+from mmcvqkd.optimize import MAX_SUPERMODE_SQUEEZING
 from mmcvqkd.source import SourceParams, epr_cm, make_spectrum
 
 ACTIVE = (OpKind.PS1, OpKind.PA1, OpKind.PC1, OpKind.PC0)
@@ -113,8 +114,12 @@ class TestClosedForms:
         assert (float(a_0), float(c_0), float(p_0)) == (1.0, 0.0, 1.0)
 
     def test_untouched_is_zero_pc_at_unit_transmissivity(self):
-        # NONE ignores t: its entries are 0-PC's at t = 1 bit for bit, with p exactly 1.
-        xi_sq = np.concatenate([[0.0], np.tanh(R_GRID) ** 2])
+        # NONE ignores t: its entries are 0-PC's at t = 1 bit for bit, with p
+        # exactly 1 up to the squeezing ceiling. Without memory,
+        # total_rate_batch leaves the untouched supermodes out of the
+        # probability product, which keeps every bit only if p is 1.0.
+        dense = np.linspace(0.0, MAX_SUPERMODE_SQUEEZING, 200_001)
+        xi_sq = np.concatenate([[0.0], np.tanh(R_GRID) ** 2, np.tanh(dense) ** 2])
         identity = heralded_entries(OpKind.PC0, xi_sq, 1.0)
         for t in (0.37, 1.0, np.linspace(0.05, 0.95, xi_sq.size)):
             untouched = heralded_entries(OpKind.NONE, xi_sq, t)

@@ -1,6 +1,7 @@
 """Optimizer behavior: grid, refinement, determinism, flags."""
 
 import importlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmcvqkd import keyrate
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, subchannel_rates_batch, total_rate_batch
 from mmcvqkd.operations import OpKind, heralded_entries
@@ -16,6 +18,7 @@ from mmcvqkd.optimize import (
     MAX_SUPERMODE_SQUEEZING,
     MULTISTART,
     RATE_REL_TOL,
+    RATE_TIE_ATOL,
     T_MAX,
     T_MIN,
     OptimizationProblem,
@@ -176,12 +179,18 @@ def _per_mode_reference(problem, gains, transmissivities):
 @pytest.mark.parametrize("kind", list(OpKind))
 @pytest.mark.parametrize("memory", [True, False])
 @pytest.mark.parametrize("clamp", [True, False])
-def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp):
+def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp, monkeypatch):
     # Both layouts (the open mesh, and point lists of n = 1 and n > 1) against
     # the per-mode reference. k_sel = 5 = k_max leaves no untouched supermode;
     # OpKind.NONE no operated one. A 4-point grid keeps the k_sel = 5 full mesh
-    # at 4^6 points.
-    for k_sel, grid_points in ((1, 6), (2, 6), (5, 4)):
+    # at 4^6 points, less than one fold block, so each case runs again with
+    # blocks of one G row and of n // 2 + 1 rows, whose last block is shorter.
+    cases = ((1, 6), (2, 6), (5, 4))
+    for (k_sel, grid_points), rows in itertools.product(cases, (None, 1, "uneven")):
+        if rows is not None:
+            row_size = grid_points ** (0 if kind is OpKind.NONE else k_sel)
+            rows = grid_points // 2 + 1 if rows == "uneven" else rows
+            monkeypatch.setattr(keyrate, "FOLD_BLOCK_ELEMENTS", rows * row_size)
         problem = _problem(
             spectrum=make_spectrum("exp", 5, 2.0),
             op_kind=kind,
@@ -306,6 +315,51 @@ def test_top_indices_match_reversed_stable_argsort(size):
         before = rates.copy()
         expected = np.argsort(rates, kind="stable")[::-1][:MULTISTART].tolist()
         assert _top_indices(rates, MULTISTART) == expected
+        assert np.array_equal(rates, before)
+
+
+def _whole_grid_top_indices(rates, count):
+    """The picker without row pruning: argmax over a reversed copy of the
+    whole grid, which masks each pick."""
+    backwards = rates.ravel()[::-1].copy()
+    picked = []
+    for _ in range(min(count, rates.size)):
+        index = int(np.argmax(backwards))
+        picked.append(rates.size - 1 - index)
+        backwards[index] = -np.inf
+    return picked
+
+
+def test_starts_match_the_whole_grid_picker(monkeypatch):
+    rng = np.random.default_rng(25)
+    plateau = np.zeros((25, 25, 25))
+    plateau[[3, 9, 17], 4, 2] = 1.0  # one entry above the plateau in three G rows
+    tied = np.zeros((6, 4, 4))
+    tied[[1, 2, 4, 5], 3, 1] = 2.0  # four G rows tie on the largest rate
+    tied[2, 0, 0] = 2.0
+    threshold_tie = rng.uniform(0.0, 1.0, (8, 5))
+    threshold_tie[[0, 3, 5, 7], 2] = 1.5  # the MULTISTART-th row maximum is tied
+    grids = [
+        rng.uniform(size=(25, 25, 25)),
+        rng.uniform(size=(13, 5)),
+        np.zeros((25, 25, 25)),
+        np.maximum(rng.integers(-6, 3, (10, 10, 10)), 0).astype(float),
+        plateau,
+        tied,
+        threshold_tie,
+        rng.integers(0, 2, (9, 3, 3)).astype(float),
+        *(rng.uniform(size=(rows, 6, 6)) for rows in range(1, MULTISTART + 1)),
+        np.ones((MULTISTART, 2)),
+        np.array([0.0, 1.0, 3.0, 2.0, 3.0]),
+    ]
+    for rates in grids:
+        before = rates.copy()
+        best = np.unravel_index(np.argmax(rates >= rates.max() - RATE_TIE_ATOL), rates.shape)
+        with monkeypatch.context() as whole_grid:
+            whole_grid.setattr(optimize_module, "_top_indices", _whole_grid_top_indices)
+            expected = _starts(rates, best)
+        assert _top_indices(rates, MULTISTART) == _whole_grid_top_indices(rates, MULTISTART)
+        assert _starts(rates, best) == expected, rates.shape
         assert np.array_equal(rates, before)
 
 
