@@ -266,32 +266,39 @@ def total_rate_batch(
     rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
     if clamp:
         rates = np.maximum(rates, 0.0)
-    rate_tables = per_mode(rates)
-    # NONE heralds with p exactly 1.0, so the untouched modes leave the product as it is.
-    prob_tables = [] if rate.memory else per_mode(p)[:n_operated]
-    if not isinstance(transmissivities, tuple):
-        return _fold(rate_tables, prob_tables)
-    grid = np.empty(np.broadcast_shapes(*shapes))
+    # NONE heralds with p exactly 1.0, so the product leaves the untouched modes out.
+    probs = [] if rate.memory else per_mode(p)[:n_operated]
+    if isinstance(transmissivities, tuple):
+        return _fold_blocks(per_mode(rates), probs)
+    total = 0.0
+    for rates_k in rates:
+        total = total + rates_k
+    if len(probs):
+        probability = 1.0
+        for p_k in probs:
+            probability = probability * p_k
+        total = total * probability
+    return total
+
+
+def _fold_blocks(rate_tables, prob_tables):
+    """The point-list fold of an open mesh's per-mode tables, written into a
+    preallocated grid one block of whole rows along its first axis at a time.
+
+    Each element gets the same adds and multiplies in the same order as in
+    the point list; a table whose first axis is 1 broadcasts to every block.
+    """
+    grid = np.empty(np.broadcast_shapes(*(table.shape for table in rate_tables)))
     rows = max(1, FOLD_BLOCK_ELEMENTS // math.prod(grid.shape[1:]))
     for start in range(0, len(grid), rows):
         block = slice(start, start + rows)
-        _fold(
-            [table[block] if len(table) > 1 else table for table in rate_tables],
-            [table[block] if len(table) > 1 else table for table in prob_tables],
-            out=grid[block],
-        )
+        out = grid[block]
+        total = 0.0
+        for rates_k in rate_tables:
+            total = np.add(total, rates_k[block] if len(rates_k) > 1 else rates_k, out=out)
+        if len(prob_tables):
+            probability = 1.0
+            for p_k in prob_tables:
+                probability = probability * (p_k[block] if len(p_k) > 1 else p_k)
+            np.multiply(out, probability, out=out)
     return grid
-
-
-def _fold(rate_tables, prob_tables, out=None):
-    """Sum of the per-mode rate tables times the product of the probability
-    tables, broadcast together, each accumulated in ascending mode order."""
-    total = 0.0
-    for rates_k in rate_tables:
-        total = np.add(total, rates_k, out=out)
-    if len(prob_tables):
-        probability = 1.0
-        for p_k in prob_tables:
-            probability = probability * p_k
-        total = np.multiply(total, probability, out=out)
-    return total
