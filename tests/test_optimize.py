@@ -187,10 +187,6 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp, monkeypa
     # blocks of one G row and of n // 2 + 1 rows, whose last block is shorter.
     cases = ((1, 6), (2, 6), (5, 4))
     for (k_sel, grid_points), rows in itertools.product(cases, (None, 1, "uneven")):
-        if rows is not None:
-            row_size = grid_points ** (0 if kind is OpKind.NONE else k_sel)
-            rows = grid_points // 2 + 1 if rows == "uneven" else rows
-            monkeypatch.setattr(keyrate, "FOLD_BLOCK_ELEMENTS", rows * row_size)
         problem = _problem(
             spectrum=make_spectrum("exp", 5, 2.0),
             op_kind=kind,
@@ -199,6 +195,9 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp, monkeypa
             clamp=clamp,
             grid_points=grid_points,
         )
+        if rows is not None:
+            rows = grid_points // 2 + 1 if rows == "uneven" else rows
+            monkeypatch.setattr(keyrate, "FOLD_BLOCK_ELEMENTS", rows * grid_points**problem.k_sel)
         axes = _grid_axes(problem)
         args = (problem.channel, problem.detector, problem.rate)
         gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
