@@ -186,6 +186,7 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp, monkeypa
     # at 4^6 points, less than one fold block, so each case runs again with
     # blocks of one G row and of n // 2 + 1 rows, whose last block is shorter.
     cases = ((1, 6), (2, 6), (5, 4))
+    default_block = keyrate.FOLD_BLOCK_ELEMENTS
     for (k_sel, grid_points), rows in itertools.product(cases, (None, 1, "uneven")):
         problem = _problem(
             spectrum=make_spectrum("exp", 5, 2.0),
@@ -195,9 +196,10 @@ def test_open_mesh_grid_bit_identical_to_full_mesh(kind, memory, clamp, monkeypa
             clamp=clamp,
             grid_points=grid_points,
         )
-        if rows is not None:
-            rows = grid_points // 2 + 1 if rows == "uneven" else rows
-            monkeypatch.setattr(keyrate, "FOLD_BLOCK_ELEMENTS", rows * grid_points**problem.k_sel)
+        if rows == "uneven":
+            rows = grid_points // 2 + 1
+        block = default_block if rows is None else rows * grid_points**problem.k_sel
+        monkeypatch.setattr(keyrate, "FOLD_BLOCK_ELEMENTS", block)
         axes = _grid_axes(problem)
         args = (problem.channel, problem.detector, problem.rate)
         gains, *transmissivities = np.meshgrid(*axes, indexing="ij", sparse=True)
