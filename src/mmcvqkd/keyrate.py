@@ -31,8 +31,8 @@ MIN_RECONCILIATION_EFFICIENCY = 0.5
 # chi is nonnegative up to rounding. Both paths set a chi within this of zero
 # to exactly zero; a more negative chi passes through unchanged.
 CHI_CLAMP_TOL = 1e-9
-# The open-mesh grid is folded from its per-mode tables this many elements at
-# a time, in blocks of whole rows along its first (G) axis. 2**15 float64 are
+# Totals are folded from their per-mode tables this many elements at a time,
+# in blocks of whole rows along the first (G or point) axis. 2**15 float64 are
 # 256 KiB, so a block's running sum and probability product stay in cache
 # instead of streaming grid-sized temporaries through memory.
 FOLD_BLOCK_ELEMENTS = 2**15
@@ -219,13 +219,12 @@ def total_rate_batch(
     axis). Without memory the sum is multiplied by the product of the
     operated supermodes' probabilities, formed in the same order; the
     untouched ones herald with p exactly 1.0, so leaving them out changes no
-    bit. A point list is folded in one piece. An open mesh is folded into a
-    preallocated grid in blocks of whole rows along its first axis, about
-    FOLD_BLOCK_ELEMENTS at a time, so no grid-sized temporary is made; each
-    element still gets the same adds and multiplies in the same order. A
-    total is therefore bit-identical whichever layout, batch size, block
-    size or split into calls produced it, which is what the grid and the
-    refinement rely on.
+    bit. Both layouts are folded into a preallocated grid in blocks of whole
+    rows along its first axis, about FOLD_BLOCK_ELEMENTS at a time, so no
+    grid-sized temporary is made; each element gets the same adds and
+    multiplies in the same order. A total is therefore bit-identical
+    whichever layout, batch size, block size or split into calls produced
+    it, which is what the grid and the refinement rely on.
     """
     gains = np.asarray(gains, dtype=float)
     xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
@@ -267,26 +266,16 @@ def total_rate_batch(
     if clamp:
         rates = np.maximum(rates, 0.0)
     # NONE heralds with p exactly 1.0, so the product leaves the untouched modes out.
-    probs = [] if rate.memory else per_mode(p)[:n_operated]
-    if isinstance(transmissivities, tuple):
-        return _fold_blocks(per_mode(rates), probs)
-    total = 0.0
-    for rates_k in rates:
-        total = total + rates_k
-    if len(probs):
-        probability = 1.0
-        for p_k in probs:
-            probability = probability * p_k
-        total = total * probability
-    return total
+    return _fold_blocks(per_mode(rates), [] if rate.memory else per_mode(p)[:n_operated])
 
 
 def _fold_blocks(rate_tables, prob_tables):
-    """The point-list fold of an open mesh's per-mode tables, written into a
-    preallocated grid one block of whole rows along its first axis at a time.
+    """Sum of the per-mode rate tables times the product of the probability
+    tables, each in ascending mode order, written into a preallocated grid
+    one block of whole rows along its first axis at a time.
 
-    Each element gets the same adds and multiplies in the same order as in
-    the point list; a table whose first axis is 1 broadcasts to every block.
+    A table whose first axis is 1 broadcasts to every block. The point
+    list's (n,) tables fold in one block up to FOLD_BLOCK_ELEMENTS points.
     """
     grid = np.empty(np.broadcast_shapes(*(table.shape for table in rate_tables)))
     rows = max(1, FOLD_BLOCK_ELEMENTS // math.prod(grid.shape[1:]))

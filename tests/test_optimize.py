@@ -18,7 +18,6 @@ from mmcvqkd.optimize import (
     MAX_SUPERMODE_SQUEEZING,
     MULTISTART,
     RATE_REL_TOL,
-    RATE_TIE_ATOL,
     T_MAX,
     T_MIN,
     OptimizationProblem,
@@ -291,16 +290,26 @@ class TestLineMax:
             assert calls < golden / 2, (abs_tol, calls, golden)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 17, 1000])
-def test_top_indices_match_reversed_stable_argsort(size):
+@pytest.mark.parametrize(
+    "shape",
+    [1, 2, 3, 17, 1000, (13, 5), (25, 25, 25)]
+    + [(rows, 6, 6) for rows in range(1, MULTISTART + 2)],
+    ids=lambda shape: "x".join(str(n) for n in np.atleast_1d(shape)),
+)
+def test_top_indices_match_reversed_stable_argsort(shape):
+    # A grid with more than one axis is searched by G row (axis 0), so the
+    # multi-axis shapes give ties across G rows and at the MULTISTART-th row
+    # maximum (the 0/1 grids), and fewer G rows than MULTISTART + 1.
+    size = math.prod(np.atleast_1d(shape))
     rng = np.random.default_rng(size)
     grids = [
-        np.zeros(size),
-        np.maximum(rng.integers(-6, 3, size), 0).astype(float),  # mostly exact zeros
-        rng.integers(0, 2, size).astype(float),
-        rng.uniform(size=size),
+        np.zeros(shape),
+        np.maximum(rng.integers(-6, 3, shape), 0).astype(float),  # mostly exact zeros
+        rng.integers(0, 2, shape).astype(float),
+        rng.uniform(size=shape),
+        (rng.uniform(size=shape) < 3.0 / size).astype(float),  # a few above a zero plateau
     ]
-    if size > 3:
+    if shape in (17, 1000):
         problem = _problem(
             spectrum=make_spectrum("exp", 5, 2.0), op_kind=OpKind.PS1, k_sel=2,
             channel=ChannelParams.from_loss_db(18.0), grid_points=10,
@@ -309,58 +318,13 @@ def test_top_indices_match_reversed_stable_argsort(size):
         clamped = total_rate_batch(
             problem.spectrum.lambdas, problem.op_kind, gains, tuple(transmissivities),
             problem.channel, problem.detector, problem.rate,
-        ).ravel()
+        )
         assert np.count_nonzero(clamped == 0.0) > clamped.size // 4
-        grids.append(clamped)
+        grids += [clamped, clamped.ravel()]
     for rates in grids:
         before = rates.copy()
-        expected = np.argsort(rates, kind="stable")[::-1][:MULTISTART].tolist()
-        assert _top_indices(rates, MULTISTART) == expected
-        assert np.array_equal(rates, before)
-
-
-def _whole_grid_top_indices(rates, count):
-    """The picker without row pruning: argmax over a reversed copy of the
-    whole grid, which masks each pick."""
-    backwards = rates.ravel()[::-1].copy()
-    picked = []
-    for _ in range(min(count, rates.size)):
-        index = int(np.argmax(backwards))
-        picked.append(rates.size - 1 - index)
-        backwards[index] = -np.inf
-    return picked
-
-
-def test_starts_match_the_whole_grid_picker(monkeypatch):
-    rng = np.random.default_rng(25)
-    plateau = np.zeros((25, 25, 25))
-    plateau[[3, 9, 17], 4, 2] = 1.0  # one entry above the plateau in three G rows
-    tied = np.zeros((6, 4, 4))
-    tied[[1, 2, 4, 5], 3, 1] = 2.0  # four G rows tie on the largest rate
-    tied[2, 0, 0] = 2.0
-    threshold_tie = rng.uniform(0.0, 1.0, (8, 5))
-    threshold_tie[[0, 3, 5, 7], 2] = 1.5  # the MULTISTART-th row maximum is tied
-    grids = [
-        rng.uniform(size=(25, 25, 25)),
-        rng.uniform(size=(13, 5)),
-        np.zeros((25, 25, 25)),
-        np.maximum(rng.integers(-6, 3, (10, 10, 10)), 0).astype(float),
-        plateau,
-        tied,
-        threshold_tie,
-        rng.integers(0, 2, (9, 3, 3)).astype(float),
-        *(rng.uniform(size=(rows, 6, 6)) for rows in range(1, MULTISTART + 1)),
-        np.ones((MULTISTART, 2)),
-        np.array([0.0, 1.0, 3.0, 2.0, 3.0]),
-    ]
-    for rates in grids:
-        before = rates.copy()
-        best = np.unravel_index(np.argmax(rates >= rates.max() - RATE_TIE_ATOL), rates.shape)
-        with monkeypatch.context() as whole_grid:
-            whole_grid.setattr(optimize_module, "_top_indices", _whole_grid_top_indices)
-            expected = _starts(rates, best)
-        assert _top_indices(rates, MULTISTART) == _whole_grid_top_indices(rates, MULTISTART)
-        assert _starts(rates, best) == expected, rates.shape
+        expected = np.argsort(rates.ravel(), kind="stable")[::-1][:MULTISTART].tolist()
+        assert _top_indices(rates, MULTISTART) == expected, rates.shape
         assert np.array_equal(rates, before)
 
 
