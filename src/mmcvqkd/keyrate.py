@@ -31,8 +31,8 @@ MIN_RECONCILIATION_EFFICIENCY = 0.5
 # chi is nonnegative up to rounding. Both paths set a chi within this of zero
 # to exactly zero; a more negative chi passes through unchanged.
 CHI_CLAMP_TOL = 1e-9
-# Totals are folded from their per-mode tables this many elements at a time,
-# in blocks of whole rows along the first (G or point) axis. 2**15 float64 are
+# The open-mesh grid is folded from its per-mode tables this many elements at
+# a time, in blocks of whole rows along its first (G) axis. 2**15 float64 are
 # 256 KiB, so a block's running sum and probability product stay in cache
 # instead of streaming grid-sized temporaries through memory.
 FOLD_BLOCK_ELEMENTS = 2**15
@@ -219,9 +219,11 @@ def total_rate_batch(
     axis). Without memory the sum is multiplied by the product of the
     operated supermodes' probabilities, formed in the same order; the
     untouched ones herald with p exactly 1.0, so leaving them out changes no
-    bit. Both layouts are folded into a preallocated grid in blocks of whole
-    rows along its first axis, about FOLD_BLOCK_ELEMENTS at a time, so no
-    grid-sized temporary is made; each element gets the same adds and
+    bit. Both layouts share that fold (``_fold``). A point list is folded in
+    one piece, so a one-point evaluation makes a fixed number of array
+    calls. An open mesh is folded into a preallocated grid in blocks of
+    whole rows along its first axis, about FOLD_BLOCK_ELEMENTS at a time, so
+    no grid-sized temporary is made; each element gets the same adds and
     multiplies in the same order. A total is therefore bit-identical
     whichever layout, batch size, block size or split into calls produced
     it, which is what the grid and the refinement rely on.
@@ -265,29 +267,31 @@ def total_rate_batch(
     rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
     if clamp:
         rates = np.maximum(rates, 0.0)
+    rate_tables = per_mode(rates)
     # NONE heralds with p exactly 1.0, so the product leaves the untouched modes out.
-    return _fold_blocks(per_mode(rates), [] if rate.memory else per_mode(p)[:n_operated])
-
-
-def _fold_blocks(rate_tables, prob_tables):
-    """Sum of the per-mode rate tables times the product of the probability
-    tables, each in ascending mode order, written into a preallocated grid
-    one block of whole rows along its first axis at a time.
-
-    A table whose first axis is 1 broadcasts to every block. The point
-    list's (n,) tables fold in one block up to FOLD_BLOCK_ELEMENTS points.
-    """
-    grid = np.empty(np.broadcast_shapes(*(table.shape for table in rate_tables)))
+    prob_tables = [] if rate.memory else per_mode(p)[:n_operated]
+    if not isinstance(transmissivities, tuple):
+        return _fold(rate_tables, prob_tables)
+    grid = np.empty(np.broadcast_shapes(*shapes))
     rows = max(1, FOLD_BLOCK_ELEMENTS // math.prod(grid.shape[1:]))
     for start in range(0, len(grid), rows):
         block = slice(start, start + rows)
-        out = grid[block]
-        total = 0.0
-        for rates_k in rate_tables:
-            total = np.add(total, rates_k[block] if len(rates_k) > 1 else rates_k, out=out)
-        if len(prob_tables):
-            probability = 1.0
-            for p_k in prob_tables:
-                probability = probability * (p_k[block] if len(p_k) > 1 else p_k)
-            np.multiply(out, probability, out=out)
+        grid[block] = _fold(
+            [table[block] if len(table) > 1 else table for table in rate_tables],
+            [table[block] if len(table) > 1 else table for table in prob_tables],
+        )
     return grid
+
+
+def _fold(rate_tables, prob_tables):
+    """Sum of the per-mode rate tables times the product of the probability
+    tables, broadcast together, each accumulated in ascending mode order."""
+    total = 0.0
+    for rates_k in rate_tables:
+        total = total + rates_k
+    if len(prob_tables):
+        probability = 1.0
+        for p_k in prob_tables:
+            probability = probability * p_k
+        total = total * probability
+    return total
