@@ -251,6 +251,11 @@ def _validated(settings: dict) -> dict:
         raise UsageError(f"workers: must be <= MAX_WORKERS = {MAX_WORKERS}, got {settings['workers']}")
     if settings["attenuation"] <= 0.0:
         raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
+    largest_loss = max(_parse_loss_values(settings["loss_db"]))
+    if not math.isfinite(largest_loss / settings["attenuation"]):
+        raise UsageError(
+            f"attenuation: {settings['attenuation']} dB/km puts {largest_loss} dB at an infinite distance"
+        )
     return settings
 
 

@@ -191,94 +191,79 @@ def total_rate_batch(
 ) -> np.ndarray:
     """Protocol totals for batches of (G, T_1..T_ksel) parameter points.
 
-    ``transmissivities`` comes in one of two layouts; the operation ``kind``
-    acts on the first k_sel supermodes, one per transmissivity given (none
-    for NONE), and the rest stay untouched.
+    The operation ``kind`` acts on the first k_sel supermodes, one per
+    transmissivity given (none for NONE), and the rest stay untouched. The
+    inputs come in one of two layouts:
 
     * Point list: ``gains`` has shape (n,) and ``transmissivities`` shape
       (n, k_sel); the result has shape (n,).
-    * Open mesh: a tuple of k_sel arrays, one per operated supermode, each
-      broadcastable against ``gains``, as from
-      ``np.meshgrid(..., indexing="ij", sparse=True)``. Supermode k is then
-      evaluated on the broadcast of ``gains`` with its own array only, and
-      the per-mode terms broadcast to the full grid in the sum.
+    * Open mesh: ``gains`` and the tuple ``transmissivities`` are
+      ``np.meshgrid(G, T_1, ..., T_ksel, indexing="ij", sparse=True)`` with
+      T axes of equal length; the result has the grid's shape. Operated
+      supermode k is evaluated on its own (G, T_k) plane only, and an
+      untouched one on the G axis.
 
-    Only the staging of the inputs depends on the layout. ``tanh(G*lambda)^2``
-    of every supermode comes from one outer product, with the supermode on
-    the leading axis. The point list keeps that (k_max, n) stack as it is and
-    passes the operated rows with the transposed transmissivities, a view.
-    The open mesh broadcasts each supermode to its own shape and flattens it,
-    once per solve. Then the operated and the untouched supermodes take one
-    ``heralded_entries`` call each, and all of them share one
-    ``subchannel_rates_batch`` call, so a one-point evaluation makes the same
-    few array calls whatever k_max is.
+    Both layouts are staged alike. ``tanh(G*lambda)^2`` of every supermode
+    comes from one outer product, supermode on the leading axis, and its
+    first k_sel rows meet one stack of the operated transmissivities: the
+    (k_max, n) stack meets the transposed point list, a view, and the
+    (k_max, n_G, 1) stack of the raveled G axis meets the T axes as
+    (k_sel, 1, n_T). The operated and the untouched supermodes take one
+    ``heralded_entries`` call each and share one ``subchannel_rates_batch``
+    call over the raveled entries, so a one-point evaluation makes a fixed
+    number of array calls whatever k_max is.
 
-    The per-mode rate tables are then accumulated with an explicit loop in
-    ascending supermode order, not with ``np.sum`` over the mode axis, whose
-    association numpy chooses by memory layout (pairwise along a contiguous
-    axis). Without memory the sum is multiplied by the product of the
-    operated supermodes' probabilities, formed in the same order; the
-    untouched ones herald with p exactly 1.0, so leaving them out changes no
-    bit. Both layouts share that fold (``_fold``). A point list is folded in
-    one piece, so a one-point evaluation makes a fixed number of array
-    calls. An open mesh is folded into a preallocated grid in blocks of
-    whole rows along its first axis, about FOLD_BLOCK_ELEMENTS at a time, so
-    no grid-sized temporary is made; each element gets the same adds and
-    multiplies in the same order. A total is therefore bit-identical
-    whichever layout, batch size, block size or split into calls produced
-    it, which is what the grid and the refinement rely on.
+    Only the fold depends on the layout. The per-mode rate tables are summed
+    with an explicit loop in ascending supermode order, not with ``np.sum``
+    over the mode axis, whose association numpy chooses by memory layout.
+    Without memory the sum is multiplied by the product of the operated
+    supermodes' probabilities, formed in the same order; the untouched ones
+    herald with p exactly 1.0, so leaving them out changes no bit. A point
+    list's output reshapes to the (k_max, n) stack, folded (``_fold``) in one
+    piece. On an open mesh its two halves reshape to the planes and the G
+    rows, each table takes the broadcast shape of the gains and its own
+    transmissivities, so plane k's T axis becomes grid axis k + 1, and
+    ``_fold`` fills a preallocated grid in blocks of whole G rows, about
+    FOLD_BLOCK_ELEMENTS at a time, so no grid-sized temporary is made. Every
+    element gets the same adds and multiplies in the same order, so a total
+    is bit-identical whichever layout, batch size, block size or split into
+    calls produced it, which the grid and the refinement rely on.
     """
     gains = np.asarray(gains, dtype=float)
-    xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
     if isinstance(transmissivities, tuple):
-        shapes, flat_xi_sq, flat_t = [], [], []
-        for k, xi_sq_k in enumerate(xi_sq):
-            if k < len(transmissivities):
-                xi_sq_k, t_k = np.broadcast_arrays(
-                    xi_sq_k, np.asarray(transmissivities[k], dtype=float)
-                )
-                flat_t.append(t_k.ravel())
-            shapes.append(xi_sq_k.shape)
-            flat_xi_sq.append(xi_sq_k.ravel())
-        split = sum(t_k.size for t_k in flat_t)
-        n_operated = len(flat_t)
-        t_operated = np.concatenate(flat_t) if flat_t else None
-        xi_sq = np.concatenate(flat_xi_sq)
-        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-        # Every table gets the grid's number of axes, so that a block of grid
-        # rows is a slice of axis 0 in each table whose axis 0 is not 1.
-        ndim = max(len(shape) for shape in shapes)
-        shapes = [(1,) * (ndim - len(shape)) + shape for shape in shapes]
-
-        def per_mode(values):
-            return [values[i:j].reshape(s) for i, j, s in zip(bounds, bounds[1:], shapes)]
+        xi_sq = np.tanh(np.multiply.outer(lambdas, gains.ravel()))[:, :, None] ** 2
+        t = np.array([np.ravel(t_k) for t_k in transmissivities], dtype=float)[:, None]
     else:
-        t = np.asarray(transmissivities, dtype=float)
-        split = n_operated = t.shape[1]
-        t_operated = t.T
-
-        def per_mode(values):
-            return values
-    groups = [(kind, xi_sq[:split], t_operated), (OpKind.NONE, xi_sq[split:], 1.0)]
+        xi_sq = np.tanh(np.multiply.outer(lambdas, gains)) ** 2
+        t = np.asarray(transmissivities, dtype=float).T
+    n_sel = len(t)
+    groups = [(kind, xi_sq[:n_sel], t), (OpKind.NONE, xi_sq[n_sel:], 1.0)]
     a, b, c, p = (
-        np.concatenate(entries)
+        np.concatenate([x.ravel() for x in entries])
         for entries in zip(*(heralded_entries(*group) for group in groups if len(group[1])))
     )
     rates, _, _ = subchannel_rates_batch(a, b, c, ch, det, rate)
     if clamp:
         rates = np.maximum(rates, 0.0)
-    rate_tables = per_mode(rates)
     # NONE heralds with p exactly 1.0, so the product leaves the untouched modes out.
-    prob_tables = [] if rate.memory else per_mode(p)[:n_operated]
     if not isinstance(transmissivities, tuple):
-        return _fold(rate_tables, prob_tables)
+        # Both halves are rows of n points, so together they have xi_sq's shape.
+        return _fold(rates.reshape(xi_sq.shape), [] if rate.memory else p.reshape(xi_sq.shape)[:n_sel])
+    # The operated half holds the (n_G, n_T) planes, the untouched half the G rows.
+    planes = (n_sel,) + xi_sq.shape[1:-1] + t.shape[-1:]
+    split = math.prod(planes)
+    rate_tables = [*rates[:split].reshape(planes), *rates[split:].reshape(xi_sq[n_sel:].shape)]
+    prob_tables = [] if rate.memory else list(p[:split].reshape(planes))
+    shapes = [np.broadcast_shapes(gains.shape, np.shape(t_k)) for t_k in transmissivities]
+    shapes += [gains.shape] * (len(rate_tables) - n_sel)
+    rate_tables = [table.reshape(shape) for table, shape in zip(rate_tables, shapes)]
+    prob_tables = [table.reshape(shape) for table, shape in zip(prob_tables, shapes)]
     grid = np.empty(np.broadcast_shapes(*shapes))
     rows = max(1, FOLD_BLOCK_ELEMENTS // math.prod(grid.shape[1:]))
     for start in range(0, len(grid), rows):
         block = slice(start, start + rows)
         grid[block] = _fold(
-            [table[block] if len(table) > 1 else table for table in rate_tables],
-            [table[block] if len(table) > 1 else table for table in prob_tables],
+            [table[block] for table in rate_tables], [table[block] for table in prob_tables]
         )
     return grid
 

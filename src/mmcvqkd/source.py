@@ -95,6 +95,8 @@ def make_spectrum(
     else:  # Scenario.EXP_DECAY
         if not decay > 0.0:
             raise ValueError(f"decay constant must be positive, got {decay}")
+        if not math.isfinite((k_max - 1) / float(decay)):
+            raise ValueError(f"decay constant {decay} overflows (k_max - 1) / decay at k_max = {k_max}")
         lam = np.exp(-np.arange(k_max) / decay)
         lam = lam / math.sqrt(float((lam**2).sum()))
     return SupermodeSpectrum(tuple(lam))

@@ -435,9 +435,14 @@ class TestNumericSettings:
          ("point", ["--eps", "nan"], "eps"),
          ("point", ["--nu", "nan"], "nu"),
          ("sweep", ["--loss-db", "0:1e9:1e-9"], "loss-db"),
-         ("sweep", ["--loss-db", "0:1e308:1e-300"], "loss-db")],
+         ("sweep", ["--loss-db", "0:1e308:1e-300"], "loss-db"),
+         ("point", ["--attenuation", "1e-310"], "attenuation"),
+         ("sweep", ["--loss-db", "10", "--attenuation", "5e-324"], "attenuation"),
+         ("optimize", ["--loss-db", "10", "--attenuation", "5e-324"], "attenuation")],
         ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan",
-             "loss-range-too-many-points", "loss-range-overflow"],
+             "loss-range-too-many-points", "loss-range-overflow",
+             "attenuation-infinite-distance-point", "attenuation-infinite-distance-sweep",
+             "attenuation-infinite-distance-optimize"],
     )
     def test_degenerate_value_is_named_usage_error(self, capsys, command, flags, field):
         args = [command, "--scenario", "single", "--op", "none"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mmcvqkd import keyrate
 from mmcvqkd.channel import (
     MAX_DETECTOR_NOISE,
     MAX_EXCESS_NOISE,
@@ -181,6 +182,32 @@ class TestBatchPath:
             with pytest.raises(UnphysicalStateError) as excinfo:
                 subchannel_rates_batch(a, b, c, IDEAL_CH, DEFAULT_DET, RateParams())
             assert excinfo.value.min_eigenvalue == pytest.approx(math.sqrt(0.75), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, k_sel", [(OpKind.NONE, 0), (OpKind.PC1, 1), (OpKind.PC1, 5)],
+                             ids=["none", "ksel-1", "ksel-kmax"])
+    @pytest.mark.parametrize("layout", ["points-1", "points-50", "open-mesh"])
+    def test_dispatch_count_is_fixed(self, monkeypatch, rng, layout, kind, k_sel):
+        # One heralded_entries call per non-empty group (operated, untouched)
+        # and one kernel call, whatever the layout, batch size or k_sel.
+        calls = {"heralded_entries": 0, "subchannel_rates_batch": 0}
+        for name, original in [(name, getattr(keyrate, name)) for name in calls]:
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(keyrate, name, counted)
+        spectrum = make_spectrum("exp", 5, 2.0)
+        if layout == "open-mesh":
+            t_axes = [np.linspace(0.3, 0.9, 3)] * k_sel
+            gains, *ts = np.meshgrid(np.linspace(0.2, 1.0, 4), *t_axes, indexing="ij", sparse=True)
+            ts = tuple(ts)
+        else:
+            n = int(layout.split("-")[1])
+            gains, ts = rng.uniform(0.2, 1.0, n), rng.uniform(0.3, 0.9, (n, k_sel))
+        total_rate_batch(
+            spectrum.lambdas, kind, gains, ts, DEFAULT_CH, DEFAULT_DET, RateParams(memory=False)
+        )
+        groups = int(k_sel > 0) + int(k_sel < spectrum.k_max)
+        assert calls == {"heralded_entries": groups, "subchannel_rates_batch": 1}
 
     def test_multimode_total_factorizes(self, rng):
         # Batched totals equal the per-mode scalar path combined by hand.

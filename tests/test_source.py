@@ -62,6 +62,12 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError, match="decay"):
             make_spectrum("exp", 5, float("nan"))
 
+    def test_subnormal_decay_is_named(self):
+        # -arange(k_max) / decay would overflow: a numpy warning, then all weight on mode 1.
+        with pytest.raises(ValueError, match="decay"):
+            make_spectrum("exp", 5, 1e-320)
+        assert make_spectrum("exp", 1, 1e-320).lambdas == (1.0,)
+
     def test_increasing_coefficients_rejected(self):
         with pytest.raises(ValueError, match="non-increasing"):
             SupermodeSpectrum((0.1, np.sqrt(1 - 0.01)))
