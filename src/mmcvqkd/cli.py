@@ -259,16 +259,30 @@ def _validated(settings: dict) -> dict:
     return settings
 
 
+def _named(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with ``key:`` put before the text of a
+    ``ValueError`` it raises, so that the message names the setting."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{key}: {exc}") from exc
+
+
 def _spectrum(settings: dict):
-    return make_spectrum(settings["scenario"], settings["kmax"], settings["decay"])
+    return _named("decay", make_spectrum, settings["scenario"], settings["kmax"], settings["decay"])
 
 
 def _channel(settings: dict, loss_db: float) -> ChannelParams:
-    return ChannelParams.from_loss_db(loss_db, epsilon=settings["eps"])
+    # The loss is checked with the default excess noise, so that each error
+    # names the one setting it is about.
+    eta_e = _named("loss-db", ChannelParams.from_loss_db, loss_db).eta_e
+    return _named("eps", ChannelParams, eta_e, settings["eps"])
 
 
 def _detector(settings: dict) -> DetectorParams:
-    return DetectorParams(eta_d=settings["eta_d"], nu=settings["nu"])
+    # eta_d is checked first on its own, so the second call fails only on nu.
+    _named("eta_d", DetectorParams, eta_d=settings["eta_d"])
+    return _named("nu", DetectorParams, eta_d=settings["eta_d"], nu=settings["nu"])
 
 
 def _rate_params(settings: dict) -> RateParams:
@@ -299,7 +313,8 @@ def _record(
     channel = _channel(settings, loss)
     source = SourceParams(gain=gain, spectrum=_spectrum(settings))
     op_kind = OpKind(settings["op"])
-    outcomes = apply_to_supermodes([NonGaussianOpSpec(op_kind, t) for t in t_values], source)
+    specs = [_named("t", NonGaussianOpSpec, op_kind, t) for t in t_values]
+    outcomes = apply_to_supermodes(specs, source)
     result = total_rate(
         outcomes, channel, _detector(settings), _rate_params(settings), clamp=settings["clamp"]
     )

@@ -6,12 +6,16 @@ mix the transmitted arm with an ancillary Fock state on a beam splitter and
 project the ancilla output onto a photon-number outcome. Serves as the
 independent oracle for the closed forms in ``operations``.
 
-States are stored densely: (N+1)^2 amplitudes at cutoff N. Heralding
-allocates the output array and one real array of its moduli, writes the
-scaled input columns straight into their output columns and squares and
-normalizes in place; each column weight is one beam-splitter element whose
-factorial ratio has at most one factor above and below. The moments work in
-proportion to the nonzero amplitudes, N+1 for a squeezed vacuum.
+States are stored densely, (N+1)^2 amplitudes at cutoff N, together with
+their support: the exactly nonzero amplitudes, N+1 for a squeezed vacuum.
+``build_tmsv`` records the diagonal it fills. ``herald`` scales each
+amplitude of the support by its column's weight, one beam-splitter element
+whose factorial ratio has at most one factor above and below, and records
+the shifted band it writes; a state built from a bare array finds its
+support with ``np.nonzero``. Moduli and normalization work on the support
+alone, but the probability is still summed over a dense real array of the
+moduli, since a sum over the support alone would group the terms
+differently and change the last bits. The moments sum over the support.
 ``tmsv_cutoff`` gives N = 19 at r = 0.6, 116 at r = 1.5, 315 at r = 2.0
 and 855 at r = 2.5, the largest supermode squeezing the optimizer allows.
 """
@@ -38,10 +42,12 @@ class FockState:
     """Pure two-mode state as a matrix of number-basis amplitudes.
 
     ``amplitudes[n_a, n_b]`` is the coefficient of |n_a, n_b>; the truncation
-    cutoff per mode is the array size minus one.
+    cutoff per mode is the array size minus one. ``support`` is
+    ``np.nonzero(amplitudes)``, found here unless the builder passes it.
     """
 
     amplitudes: np.ndarray
+    support: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -49,6 +55,8 @@ class FockState:
             raise ValueError("amplitudes must be a 2-d array over (n_A, n_B)")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        if self.support is None:
+            object.__setattr__(self, "support", np.nonzero(amps))
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,12 @@ def build_tmsv(r: float, cutoff: int | None = None) -> FockState:
         )
     xi = math.tanh(r)
     ns = np.arange(cutoff + 1)
+    diagonal = math.sqrt(1.0 - xi**2) * xi**ns
     amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    amps[ns, ns] = math.sqrt(1.0 - xi**2) * xi**ns
-    return FockState(amps)
+    amps[ns, ns] = diagonal
+    # xi**n is exactly 0 for n > 0 at r = 0, and underflows past a large cutoff.
+    ns = ns[diagonal != 0.0]
+    return FockState(amps, support=(ns, ns))
 
 
 def beam_splitter_element(m1: int, m2: int, n1: int, n2: int, t: float) -> float:
@@ -143,23 +154,31 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
         raise ValueError(f"invalid transmissivity {t}")
     amps = state.amplitudes
     # A fixed detection maps |n_b> to the single |m_b>, m_b = n_b + ancilla - detect,
-    # so the input columns n_b >= n0 are scaled once and written to the
-    # contiguous output columns from m0 on.
+    # so each input amplitude in a column n_b >= n0 is scaled by its column's
+    # weight and written to output column m_b. The probability stays a sum
+    # over the dense moduli: over the support alone it would regroup.
     n0 = max(0, detect_photons - ancilla_photons)
     m0 = n0 + ancilla_photons - detect_photons
     weights = np.array(
         [beam_splitter_element(m0 + k, detect_photons, n0 + k, ancilla_photons, t)
          for k in range(amps.shape[1] - n0)]
     )
-    heralded = np.zeros((amps.shape[0], amps.shape[1] + ancilla_photons), dtype=complex)
-    np.multiply(amps[:, n0:], weights, out=heralded[:, m0:m0 + len(weights)])
-    mass = np.abs(heralded)
-    np.square(mass, out=mass)
+    rows, cols = state.support
+    shifted = cols >= n0
+    rows, cols = rows[shifted], cols[shifted]
+    band = amps[rows, cols] * weights[cols - n0]
+    cols = cols + (m0 - n0)
+    shape = (amps.shape[0], amps.shape[1] + ancilla_photons)
+    mass = np.zeros(shape)
+    mass[rows, cols] = np.square(np.abs(band))
     probability = float(mass.sum())
     if probability <= 0.0:
         return HeraldResult(cm=None, probability=0.0, state=None)
-    heralded /= math.sqrt(probability)
-    normalized = FockState(heralded)
+    band /= math.sqrt(probability)
+    heralded = np.zeros(shape, dtype=complex)
+    heralded[rows, cols] = band
+    nonzero = band != 0.0  # a zero weight or an underflow leaves a 0.0 in the band
+    normalized = FockState(heralded, support=(rows[nonzero], cols[nonzero]))
     return HeraldResult(cm=extract_cm(normalized), probability=probability, state=normalized)
 
 
@@ -176,7 +195,7 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """First moments (length 4) and symmetrized second-moment matrix (4x4)
     of (x_A, p_A, x_B, p_B) with x = a + a+, p = i(a+ - a)."""
     psi = state.amplitudes
-    rows, cols = np.nonzero(psi)
+    rows, cols = state.support
     amps = psi[rows, cols]
 
     def overlap(d_a: int, d_b: int, weight: np.ndarray) -> complex:

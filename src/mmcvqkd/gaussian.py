@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,15 @@ class UnphysicalStateError(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Omega for (x1, p1, ...) ordering: direct sum of [[0, 1], [-1, 0]]."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Symplectic form Omega for (x1, p1, ...) ordering: direct sum of [[0, 1], [-1, 0]].
+
+    Built once per mode count and shared, so it is read-only.
+    """
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.setflags(write=False)
+    return omega
 
 
 def two_mode_symplectic(a, b, c):
@@ -86,7 +93,11 @@ class TwoModeCM:
 
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix, mode order (x_A, p_A, x_B, p_B)."""
-        return np.block([[self.a * I2, self.c * Z2], [self.c * Z2, self.b * I2]])
+        dense = np.empty((4, 4))
+        dense[:2, :2] = self.a * I2
+        dense[:2, 2:] = dense[2:, :2] = self.c * Z2
+        dense[2:, 2:] = self.b * I2
+        return dense
 
     def symplectic_eigenvalues(self) -> tuple[float, float]:
         """(nu_plus, nu_minus) from ``two_mode_symplectic``; NaN when indefinite."""

@@ -173,7 +173,7 @@ def _grid_axes(problem: OptimizationProblem) -> list[np.ndarray]:
     return axes
 
 
-def _top_indices(rates: np.ndarray, count: int) -> list[int]:
+def _top_indices(rates: np.ndarray, count: int, row_max: np.ndarray | None = None) -> list[int]:
     """Flat indices of the ``count`` largest rates, largest first.
 
     Equal rates put the larger index first, the order of
@@ -182,10 +182,12 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
     ``count``-th largest row maximum are searched: at least ``count`` entries
     reach it, so every pick lies in such a row. Those rows are gathered in
     ascending order and reversed, so the first maximum of an argmax is the
-    last one in index order; each pick then masks its entry.
+    last one in index order; each pick then masks its entry. ``row_max`` is
+    the rows' maxima if the caller has them.
     """
     rows = rates.reshape(len(rates), -1)
-    row_max = rows.max(axis=1)
+    if row_max is None:
+        row_max = rows.max(axis=1)
     kept = np.flatnonzero(row_max >= np.sort(row_max)[-min(count, len(row_max))])
     backwards = rows[kept[::-1], ::-1].ravel()
     picked = []
@@ -197,7 +199,9 @@ def _top_indices(rates: np.ndarray, count: int) -> list[int]:
     return picked
 
 
-def _starts(grid: np.ndarray, best: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _starts(
+    grid: np.ndarray, best: tuple[int, ...], row_max: np.ndarray | None = None
+) -> list[tuple[int, ...]]:
     """Grid cells refinement starts from, ``best`` first.
 
     The candidates are ``best``, then the MULTISTART largest rates. A
@@ -205,10 +209,11 @@ def _starts(grid: np.ndarray, best: tuple[int, ...]) -> list[tuple[int, ...]]:
     lies within one grid step of it on every T axis (clustering multistart):
     its search would refine the same grid cell again. Candidates in another G
     cell are kept, since the rate along G can have two maxima in one bracket.
-    With no T axes this drops exact duplicates only.
+    With no T axes this drops exact duplicates only. ``row_max`` is passed
+    on to ``_top_indices``.
     """
     kept = [tuple(int(i) for i in best)]
-    for index in _top_indices(grid, MULTISTART):
+    for index in _top_indices(grid, MULTISTART, row_max):
         cell = tuple(int(i) for i in np.unravel_index(index, grid.shape))
         if not any(
             cell[0] == other[0] and all(abs(a - b) <= 1 for a, b in zip(cell[1:], other[1:]))
@@ -297,16 +302,23 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     axes = _grid_axes(problem)
     grid = objective.grid(axes)
 
-    best_rate = float(grid.max())
+    # One pass over the grid: the maxima of its G rows give the best rate
+    # (a NaN propagates), the first row in the tie band and the start rows.
+    rows = grid.reshape(len(grid), -1)
+    row_max = rows.max(axis=1)
+    best_rate = float(row_max.max())
     if not math.isfinite(best_rate):
         first = np.unravel_index(np.argmax(~np.isfinite(grid)), grid.shape)
         raise ValueError(
             f"key rate is not finite on the coarse grid at G = {axes[0][first[0]]:.6g}; "
             f"lower g_max (now {problem.g_max:.6g})"
         )
-    # Lexicographically first point within the tie band (row-major order).
-    best = np.unravel_index(np.argmax(grid >= best_rate - RATE_TIE_ATOL), grid.shape)
-    starts = _starts(grid, best)
+    # Lexicographically first point within the tie band (row-major order):
+    # it lies in the first row whose maximum reaches the band.
+    tie = best_rate - RATE_TIE_ATOL
+    row = int(np.argmax(row_max >= tie))
+    best = np.unravel_index(row * rows.shape[1] + int(np.argmax(rows[row] >= tie)), grid.shape)
+    starts = _starts(grid, best, row_max)
 
     lower = [G_MIN] + [T_MIN] * problem.k_sel
     upper = [problem.g_max] + [T_MAX] * problem.k_sel

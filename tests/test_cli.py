@@ -186,7 +186,7 @@ class TestSweep:
             capsys,
         )
         assert code == 2 and stdout == ""
-        assert err == "error: loss 3240.0 dB rounds the channel transmissivity to 0\n"
+        assert err == "error: loss-db: loss 3240.0 dB rounds the channel transmissivity to 0\n"
         assert pool_sizes == []
         assert out.read_text() == "previous results\n"
 
@@ -438,11 +438,18 @@ class TestNumericSettings:
          ("sweep", ["--loss-db", "0:1e308:1e-300"], "loss-db"),
          ("point", ["--attenuation", "1e-310"], "attenuation"),
          ("sweep", ["--loss-db", "10", "--attenuation", "5e-324"], "attenuation"),
-         ("optimize", ["--loss-db", "10", "--attenuation", "5e-324"], "attenuation")],
+         ("optimize", ["--loss-db", "10", "--attenuation", "5e-324"], "attenuation"),
+         # domain errors from the constructors the CLI calls, named by their setting
+         ("point", ["--nu", "60"], "nu"),
+         ("point", ["--eps", "-1"], "eps"),
+         ("point", ["--loss-db", "-3"], "loss-db"),
+         ("point", ["--op", "1pc", "--ksel", "1", "--t", "1.5"], "t"),
+         ("point", ["--scenario", "exp", "--decay", "0"], "decay")],
         ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan",
              "loss-range-too-many-points", "loss-range-overflow",
              "attenuation-infinite-distance-point", "attenuation-infinite-distance-sweep",
-             "attenuation-infinite-distance-optimize"],
+             "attenuation-infinite-distance-optimize", "nu-above-limit", "eps-negative",
+             "loss-negative", "t-above-one", "decay-zero"],
     )
     def test_degenerate_value_is_named_usage_error(self, capsys, command, flags, field):
         args = [command, "--scenario", "single", "--op", "none"]

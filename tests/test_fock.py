@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import golden
 from mmcvqkd import fock
 from mmcvqkd.fock import (
     MAX_FOCK_CUTOFF,
@@ -267,3 +268,50 @@ class TestExtractCm:
         amps[0, 0] = amps[1, 0] = 1.0 / math.sqrt(2.0)
         with pytest.raises(ValueError, match="first moments"):
             extract_cm(FockState(amps))
+
+
+def assert_support_is_nonzero(state):
+    """``state.support`` is ``np.nonzero(state.amplitudes)``, in its order."""
+    rows, cols = np.nonzero(state.amplitudes)
+    assert len(state.support) == 2
+    np.testing.assert_array_equal(state.support[0], rows)
+    np.testing.assert_array_equal(state.support[1], cols)
+
+
+class TestSupport:
+    def test_golden_cases(self):
+        # r = 2.5 at t = 0.1 underflows hundreds of heralded amplitudes to 0,
+        # and 1-PC at t = 0.5 has a zero beam-splitter weight
+        states = {}
+        for case in golden.FOCK_CASES:
+            if case.r not in states:
+                states[case.r] = build_tmsv(case.r)
+                assert_support_is_nonzero(states[case.r])
+            result = herald(states[case.r], case.op.ancilla_photons, case.op.detected_photons, case.t)
+            assert_support_is_nonzero(result.state)
+
+    @pytest.mark.parametrize("ancilla", [0, 1])
+    @pytest.mark.parametrize("t", [0.5, 0.9])
+    def test_every_outcome(self, ancilla, t):
+        state = build_tmsv(0.8)
+        probabilities = outcome_probabilities(state, ancilla, t)
+        for detect, probability in enumerate(probabilities):
+            result = herald(state, ancilla, detect, t)
+            assert result.probability == probability
+            if result.state is not None:
+                assert_support_is_nonzero(result.state)
+
+    def test_vacuum_drops_its_zero_diagonal_entry(self):
+        # build_tmsv(0.0) writes 0.0 at [1, 1]; the support leaves it out
+        state = build_tmsv(0.0)
+        assert_support_is_nonzero(state)
+        assert [index.tolist() for index in state.support] == [[0], [0]]
+        for ancilla, detect in ((0, 0), (1, 1), (1, 0)):
+            assert_support_is_nonzero(herald(state, ancilla, detect, 0.7).state)
+
+    def test_bare_array_finds_its_support(self):
+        amps = np.zeros((3, 4), dtype=complex)
+        amps[2, 0] = amps[0, 3] = amps[1, 1] = 0.5
+        state = FockState(amps)
+        assert_support_is_nonzero(state)
+        assert [index.tolist() for index in state.support] == [[0, 1, 2], [3, 1, 0]]

@@ -12,6 +12,7 @@ from mmcvqkd.gaussian import (
     entropy_g,
     homodyne_condition,
     symplectic_eigenvalues,
+    symplectic_form,
 )
 from mmcvqkd.channel import ChannelParams, DetectorParams, build_pipeline
 from mmcvqkd.source import epr_cm
@@ -64,6 +65,24 @@ class TestSymplecticEigenvalues:
             TwoModeCM(a=0.5, b=1.0, c=0.0)
         with pytest.raises(UnphysicalStateError):
             TwoModeCM(a=2.0, b=2.0, c=2.5)  # breaks the uncertainty bound
+
+
+    def test_symplectic_form_is_built_once_and_read_only(self):
+        omega = symplectic_form(2)
+        np.testing.assert_array_equal(
+            omega, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+        )
+        assert symplectic_form(2) is omega
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0, 1] = 2.0
+
+    @pytest.mark.parametrize("c", [1.5, -1.5, 0.0])
+    def test_two_mode_matrix_is_the_block_form(self, c):
+        cm = TwoModeCM(a=3.0, b=2.0, c=c)
+        i2, z2 = np.eye(2), np.diag([1.0, -1.0])
+        reference = np.block([[cm.a * i2, cm.c * z2], [cm.c * z2, cm.b * i2]])
+        # bit for bit, the signs of the zeros included
+        assert cm.matrix().tobytes() == reference.tobytes()
 
 
 class TestEntropyG:
