@@ -208,33 +208,34 @@ def build_settings(args: argparse.Namespace) -> dict:
 
 def _parse_loss_values(text: str) -> list[float]:
     """"A:B:STEP" sweeps inclusively from A to B; a bare number is one point."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"loss-db: expected A:B:STEP, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise UsageError(f"loss-db: {exc}") from exc
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise UsageError(f"loss-db: range bounds and step must be finite, got {text!r}")
-        if step <= 0.0:
-            raise UsageError(f"loss-db: step must be positive, got {step}")
-        if stop < start:
-            raise UsageError(f"loss-db: empty range {text!r}")
-        # Counted before any list is built; overflows to inf for extreme bounds.
-        span = (stop - start) / step + 1e-9
-        if not span < MAX_LOSS_POINTS:
-            raise UsageError(f"loss-db: {text!r} exceeds MAX_LOSS_POINTS = {MAX_LOSS_POINTS} points")
-        count = math.floor(span) + 1
-        return [start + i * step for i in range(count)]
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise UsageError(f"loss-db: expected A:B:STEP, got {text!r}")
     try:
-        return [float(text)]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"loss-db: {exc}") from exc
+    if len(values) == 1:
+        if not math.isfinite(values[0]):
+            raise UsageError(f"loss-db: must be finite, got {values[0]}")
+        return values
+    start, stop, step = values
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"loss-db: range bounds and step must be finite, got {text!r}")
+    if step <= 0.0:
+        raise UsageError(f"loss-db: step must be positive, got {step}")
+    if stop < start:
+        raise UsageError(f"loss-db: empty range {text!r}")
+    # Counted before any list is built; overflows to inf for extreme bounds.
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_LOSS_POINTS:
+        raise UsageError(f"loss-db: {text!r} exceeds MAX_LOSS_POINTS = {MAX_LOSS_POINTS} points")
+    count = math.floor(span) + 1
+    return [start + i * step for i in range(count)]
 
 
-def _validated(settings: dict) -> dict:
+def _losses(settings: dict, command: str) -> list[float]:
+    """The run's losses, once every setting that needs no domain object is checked."""
     for key, value in settings.items():
         setting = SETTINGS[key]
         if setting.choices is not None and value not in setting.choices:
@@ -251,12 +252,14 @@ def _validated(settings: dict) -> dict:
         raise UsageError(f"workers: must be <= MAX_WORKERS = {MAX_WORKERS}, got {settings['workers']}")
     if settings["attenuation"] <= 0.0:
         raise UsageError(f"attenuation: must be > 0 dB/km, got {settings['attenuation']}")
-    largest_loss = max(_parse_loss_values(settings["loss_db"]))
-    if not math.isfinite(largest_loss / settings["attenuation"]):
+    losses = _parse_loss_values(settings["loss_db"])
+    if command != "sweep" and len(losses) != 1:
+        raise UsageError(f"loss-db: {command} expects a single loss value, not a range")
+    if not math.isfinite(max(losses) / settings["attenuation"]):
         raise UsageError(
-            f"attenuation: {settings['attenuation']} dB/km puts {largest_loss} dB at an infinite distance"
+            f"attenuation: {settings['attenuation']} dB/km puts {max(losses)} dB at an infinite distance"
         )
-    return settings
+    return losses
 
 
 def _named(key: str, build, *args, **kwargs):
@@ -287,13 +290,6 @@ def _detector(settings: dict) -> DetectorParams:
 
 def _rate_params(settings: dict) -> RateParams:
     return RateParams(eta_r=settings["eta_r"], memory=settings["memory"])
-
-
-def _single_loss(settings: dict, command: str) -> float:
-    losses = _parse_loss_values(settings["loss_db"])
-    if len(losses) != 1:
-        raise UsageError(f"loss-db: {command} expects a single loss value, not a range")
-    return losses[0]
 
 
 def _parse_t_list(settings: dict) -> tuple[float, ...]:
@@ -335,8 +331,7 @@ def _record(
     )
 
 
-def cmd_point(settings: dict) -> list[SweepRecord]:
-    loss = _single_loss(settings, "point")
+def cmd_point(settings: dict, loss: float) -> list[SweepRecord]:
     t_values = _parse_t_list(settings)
     k_sel = settings["ksel"]
     if settings["op"] == "none":
@@ -348,42 +343,42 @@ def cmd_point(settings: dict) -> list[SweepRecord]:
     return [_record(settings, loss, settings["gain"], t_values, evaluations=1)]
 
 
-def _optimize_at_loss(settings: dict, loss: float, trace: list | None = None) -> SweepRecord:
+def _solve(
+    settings: dict, loss: float, problem: OptimizationProblem, trace: list | None = None
+) -> SweepRecord:
     """The optimum's record; its refinement trace is appended to ``trace`` if given."""
-    problem = OptimizationProblem(
-        spectrum=_spectrum(settings),
-        op_kind=OpKind(settings["op"]),
-        k_sel=settings["ksel"],
-        channel=_channel(settings, loss),
-        detector=_detector(settings),
-        rate=_rate_params(settings),
-        clamp=settings["clamp"],
-        grid_points=settings["grid_points"],
-        g_max=settings["g_max"] or None,
-    )
     opt = optimize(problem)
     if trace is not None:
         trace.extend({"params": list(params), "rate": rate} for params, rate in opt.trace)
     return _record(settings, loss, opt.best_g, opt.best_t, opt.evaluations)
 
 
-def cmd_sweep(settings: dict) -> list[SweepRecord]:
-    losses = _parse_loss_values(settings["loss_db"])
-    for loss in losses:  # a loss the channel rejects fails before the first solve
-        _channel(settings, loss)
-    if settings["workers"] > 1 and len(losses) > 1:
+def cmd_sweep(settings: dict, losses: list[float], trace: list | None = None) -> list[SweepRecord]:
+    """The optimum's record at each loss; ``optimize`` is the one-loss case.
+
+    Every problem is built, so every setting is checked, before the first solve
+    or fork. The problems share one spectrum, detector and rate parameters.
+    A serial run appends its refinement trace to ``trace`` if given.
+    """
+    channels = [_channel(settings, loss) for loss in losses]
+    shared = dict(
+        spectrum=_spectrum(settings),
+        op_kind=OpKind(settings["op"]),
+        k_sel=settings["ksel"],
+        detector=_detector(settings),
+        rate=_rate_params(settings),
+        clamp=settings["clamp"],
+        grid_points=settings["grid_points"],
+        g_max=settings["g_max"] or None,
+    )
+    problems = [OptimizationProblem(channel=channel, **shared) for channel in channels]
+    workers = min(settings.get("workers", 1), len(problems))
+    if workers > 1:
         # pool.map keeps the order of ``losses``, which ascend. The pool forks
         # every worker at once, so it gets no more than there are losses.
-        with ProcessPoolExecutor(max_workers=min(settings["workers"], len(losses))) as pool:
-            return list(pool.map(_optimize_at_loss, [settings] * len(losses), losses))
-    return [_optimize_at_loss(settings, loss) for loss in losses]
-
-
-def cmd_optimize(settings: dict) -> tuple[list[SweepRecord], dict]:
-    """The optimum's record, and its evaluation count and refinement trace."""
-    trace: list[dict] = []
-    record = _optimize_at_loss(settings, _single_loss(settings, "optimize"), trace)
-    return [record], {"evaluations": record.evaluations, "refinement_trace": trace}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_solve, [settings] * len(losses), losses, problems))
+    return [_solve(settings, loss, problem, trace) for loss, problem in zip(losses, problems)]
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
@@ -508,7 +503,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        settings = _validated(build_settings(args))
+        settings = build_settings(args)
+        losses = _losses(settings, args.command)
         trace_path = getattr(args, "trace", None)
         for path in (settings["out"], trace_path):
             if path:
@@ -516,16 +512,16 @@ def main(argv: list[str] | None = None) -> int:
         out_path = settings["out"]
         if out_path and trace_path and os.path.realpath(out_path) == os.path.realpath(trace_path):
             raise UsageError(f"out and trace: {out_path!r} and {trace_path!r} are the same file")
+        trace = [] if trace_path else None
         if args.command == "point":
-            records = cmd_point(settings)
-        elif args.command == "sweep":
-            records = cmd_sweep(settings)
+            records = cmd_point(settings, losses[0])
         else:
-            records, trace = cmd_optimize(settings)
+            records = cmd_sweep(settings, losses, trace)
         text = records_to_csv(records) if settings["format"] == "csv" else records_to_json(records)
         # Written only now, so a run that fails leaves its output files as they were.
         if trace_path:
-            _write(trace_path, json.dumps(trace, indent=2) + "\n")
+            payload = {"evaluations": records[0].evaluations, "refinement_trace": trace}
+            _write(trace_path, json.dumps(payload, indent=2) + "\n")
         if settings["out"]:
             _write(settings["out"], text)
         else:

@@ -1,11 +1,15 @@
 """CLI subcommands: records, formats, precedence, exit codes, determinism."""
 
 import json
+import math
+import re
 import signal
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmcvqkd import cli, source
 from mmcvqkd.channel import ChannelParams, DetectorParams
@@ -189,6 +193,46 @@ class TestSweep:
         assert err == "error: loss-db: loss 3240.0 dB rounds the channel transmissivity to 0\n"
         assert pool_sizes == []
         assert out.read_text() == "previous results\n"
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("nu", "70"), ("decay", "0"), ("eta_d", "0"), ("eta_r", "0.1"), ("g_max", "1e3"),
+         ("grid_points", "1")],
+    )
+    def test_rejected_setting_starts_no_pool_and_no_solve(
+        self, capsys, monkeypatch, pool_sizes, key, value
+    ):
+        # Every loss's problem is built before the pool, so a setting that
+        # only a domain object rejects fails before any worker is forked.
+        monkeypatch.setattr(cli, "optimize", lambda problem: pytest.fail("solved"))
+        code, out, err = run_cli(
+            ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1", "--loss-db", "0:300:1",
+             "--workers", "256", "--" + key.replace("_", "-"), value],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {key}")
+        assert pool_sizes == []
+
+    def test_every_problem_shares_one_spectrum(self, capsys, monkeypatch, pool_sizes):
+        problems = []
+        solve = cli.optimize
+
+        def recording_optimize(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(cli, "optimize", recording_optimize)
+        code, _, _ = run_cli(
+            ["sweep", "--scenario", "exp", "--op", "0pc", "--ksel", "1", "--loss-db", "0:2:1",
+             "--grid-points", "3", "--workers", "2"],
+            capsys,
+        )
+        assert code == 0 and pool_sizes == [2]
+        assert [problem.channel for problem in problems] == [
+            ChannelParams.from_loss_db(loss) for loss in (0.0, 1.0, 2.0)
+        ]
+        assert all(problem.spectrum is problems[0].spectrum for problem in problems)
 
     def test_unwritable_output_path_fails_before_compute(self, capsys):
         code, _, err = run_cli(
@@ -444,12 +488,18 @@ class TestNumericSettings:
          ("point", ["--eps", "-1"], "eps"),
          ("point", ["--loss-db", "-3"], "loss-db"),
          ("point", ["--op", "1pc", "--ksel", "1", "--t", "1.5"], "t"),
-         ("point", ["--scenario", "exp", "--decay", "0"], "decay")],
+         ("point", ["--scenario", "exp", "--decay", "0"], "decay"),
+         # a non-finite single loss, before the distance check divides it
+         ("point", ["--loss-db", "nan"], "loss-db"),
+         ("point", ["--loss-db", "inf"], "loss-db"),
+         ("point", ["--loss-db", "1e400"], "loss-db"),
+         ("optimize", ["--loss-db", "inf"], "loss-db")],
         ids=["attenuation-zero", "loss-range-inf", "eps-nan", "nu-nan",
              "loss-range-too-many-points", "loss-range-overflow",
              "attenuation-infinite-distance-point", "attenuation-infinite-distance-sweep",
              "attenuation-infinite-distance-optimize", "nu-above-limit", "eps-negative",
-             "loss-negative", "t-above-one", "decay-zero"],
+             "loss-negative", "t-above-one", "decay-zero", "loss-nan-point", "loss-inf-point",
+             "loss-overflow-point", "loss-inf-optimize"],
     )
     def test_degenerate_value_is_named_usage_error(self, capsys, command, flags, field):
         args = [command, "--scenario", "single", "--op", "none"]
@@ -549,6 +599,78 @@ class TestBoundaryChecks:
         code, out, _ = run_cli(["point"], capsys)
         assert code == 0
         assert cli.parse_csv_records(out)[0].memory is memory
+
+
+# Every float setting draws from these as well as from any float: zero, the
+# smallest subnormal, 1 +- 1e-7, 1e300 and the non-finite values.
+EXTREME_FLOATS = st.sampled_from(
+    [0.0, 5e-324, 0.5, 1 - 1e-7, 1.0, 1 + 1e-7, 1e300, -1.0, math.nan, math.inf, -math.inf]
+) | st.floats()
+# The values of the string settings that are not choices: a single loss or a
+# range of at most three, and up to three transmissivities.
+STRING_VALUES = {
+    "loss_db": EXTREME_FLOATS.map(repr) | st.builds(
+        lambda start, steps, step: f"{start!r}:{start + steps * step!r}:{step!r}",
+        EXTREME_FLOATS, st.integers(0, 2), EXTREME_FLOATS,
+    ),
+    "t": st.lists(EXTREME_FLOATS, max_size=3).map(lambda ts: ",".join(map(repr, ts))),
+}
+SETTING_NAMES = {*cli.SETTINGS, *(key.replace("_", "-") for key in cli.SETTINGS)}
+
+
+def setting_value(key, setting):
+    """One of the setting's choices, or else its default or a value drawn for
+    its type, about half each."""
+    if setting.choices is not None:
+        return st.sampled_from(setting.choices)
+    if key == "grid_points":  # drawn for every run that takes it, so small
+        return st.integers(1, 4)
+    return st.just(setting.default) | {
+        bool: st.booleans(),
+        int: st.integers(-1, 5) | st.just(10**9),
+        float: EXTREME_FLOATS,
+        str: STRING_VALUES.get(key, st.nothing()),
+    }[setting.type]
+
+
+@st.composite
+def run_arguments(draw):
+    """One run's argument list: each setting its command takes, given or not;
+    ``--grid-points`` is always given, ``--out`` never."""
+    command = draw(st.sampled_from(["point", "sweep", "optimize"]))
+    args = [command]
+    for key, setting in cli.SETTINGS.items():
+        if command not in setting.commands or key == "out":
+            continue
+        if key != "grid_points" and draw(st.integers(0, 2)):  # a third are given
+            continue
+        value, flag = draw(setting_value(key, setting)), "--" + key.replace("_", "-")
+        if setting.type is bool:
+            args.append(flag if value else "--no-" + flag[2:])
+        else:
+            args.append(f"{flag}={value}")
+    return args
+
+
+class TestSettingsProperty:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(args=run_arguments())
+    def test_run_exits_0_finite_or_exits_2_naming_a_setting(self, capsys, pool_sizes, args):
+        with time_limit(10.0):
+            code, out, err = run_cli(args, capsys)
+        if code == 0:
+            rows = json.loads(out) if "--format=json" in args else map(
+                vars, cli.parse_csv_records(out)
+            )
+            numbers = [number for row in rows for value in row.values()
+                       if not isinstance(value, (str, bool))
+                       for number in (value if isinstance(value, (list, tuple)) else [value])]
+            assert numbers and all(map(math.isfinite, numbers)), out
+        else:
+            assert code == 2 and out == ""
+            match = re.fullmatch(r"error: ([\w-]+)[^\n]*\n", err)
+            assert match and match.group(1) in SETTING_NAMES, err
 
 
 COMMON_OPTIONS = {

@@ -4,7 +4,6 @@ import importlib
 import itertools
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from mmcvqkd.optimize import (
     optimize,
 )
 from mmcvqkd.source import make_spectrum
+
+import golden
 
 # The package re-exports the function ``optimize`` under the module's name.
 optimize_module = importlib.import_module("mmcvqkd.optimize")
@@ -378,8 +379,7 @@ def test_box_end_is_reached():
     )
     result = optimize(problem)
     assert result.best_t[1] == T_MAX
-    fixture = Path(__file__).parent / "data" / "cli_optimize_no_memory.json"
-    [record] = json.loads(fixture.read_text())
+    [record] = json.loads(golden.committed("cli_optimize_no_memory.json")[0])
     assert (result.best_g, list(result.best_t)) == (record["best_G"], record["best_T"])
 
 
