@@ -8,14 +8,15 @@ independent oracle for the closed forms in ``operations``.
 
 States are stored densely, (N+1)^2 amplitudes at cutoff N, together with
 their support: the exactly nonzero amplitudes, N+1 for a squeezed vacuum.
-``build_tmsv`` records the diagonal it fills. ``herald`` scales each
-amplitude of the support by its column's weight, one beam-splitter element
-whose factorial ratio has at most one factor above and below, and records
-the shifted band it writes; a state built from a bare array finds its
-support with ``np.nonzero``. Moduli and normalization work on the support
-alone, but the probability is still summed over a dense real array of the
-moduli, since a sum over the support alone would group the terms
-differently and change the last bits. The moments sum over the support.
+``build_tmsv`` records the diagonal it fills; a state built from a bare array
+finds its support with ``np.nonzero``. ``herald`` scales the support by its
+columns' weights, all N+1 from one exact pass of ``beam_splitter_weights``
+(N+1 Python powers and a few array operations per binomial term), and
+records the shifted band it writes. Moduli, normalization and the moments
+work on the support. The probability is still summed over a dense real array
+of the moduli, since numpy's pairwise sum groups terms by position and a sum
+over the support alone would change its last bits; that array and the dense
+output state cost O(N^2) and dominate a herald at large N.
 ``tmsv_cutoff`` gives N = 19 at r = 0.6, 116 at r = 1.5, 315 at r = 2.0
 and 855 at r = 2.5, the largest supermode squeezing the optimizer allows.
 """
@@ -23,6 +24,7 @@ and 855 at r = 2.5, the largest supermode squeezing the optimizer allows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,43 +115,69 @@ def build_tmsv(r: float, cutoff: int | None = None) -> FockState:
     return FockState(amps, support=(ns, ns))
 
 
+def _photon_number(name: str, value) -> int:
+    """``value`` as an int; a bool, a non-integer or a negative count fails by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} = {value!r} is not a nonnegative integer photon number")
+    return int(value)
+
+
 def beam_splitter_element(m1: int, m2: int, n1: int, n2: int, t: float) -> float:
     """<m1, m2| U |n1, n2> for the real beam splitter
     a -> sqrt(t) a + sqrt(1-t) b, b -> -sqrt(1-t) a + sqrt(t) b.
 
-    Obtained by binomially expanding U (a+)^n1 (b+)^n2 |00>; photon number is
-    conserved, so the element vanishes unless m1 + m2 = n1 + n2.
+    Photon number is conserved, so the element vanishes unless m1 + m2 =
+    n1 + n2; otherwise it is the one-column case of ``beam_splitter_weights``.
     """
+    m1, m2, n1, n2 = map(_photon_number, ("m1", "m2", "n1", "n2"), (m1, m2, n1, n2))
     if m1 + m2 != n1 + n2:
         return 0.0
-    amp_t = math.sqrt(t)
-    amp_r = math.sqrt(1.0 - t)
-    total = 0.0
-    for i in range(max(0, m1 - n2), min(n1, m1) + 1):
-        j = m1 - i
-        total += (
-            math.comb(n1, i)
-            * math.comb(n2, j)
-            * amp_t**i
-            * (-amp_r) ** (n1 - i)
-            * amp_r**j
-            * amp_t ** (n2 - j)
-        )
-    # sqrt(m1! m2! / (n1! n2!)) with the common factorials cancelled: each
-    # perm is a product of at most |m1 - n1| factors, and the int/int
-    # division rounds the unchanged rational once.
-    k1, k2 = min(m1, n1), min(m2, n2)
-    return total * math.sqrt(
-        math.perm(m1, m1 - k1) * math.perm(m2, m2 - k2)
-        / (math.perm(n1, n1 - k1) * math.perm(n2, n2 - k2))
-    )
+    return float(beam_splitter_weights(range(n1, n1 + 1), n2, m2, t)[0])
+
+
+def beam_splitter_weights(columns: range, ancilla: int, detect: int, t: float) -> np.ndarray:
+    """<n + ancilla - detect, detect| U |n, ancilla> for each n in ``columns``
+    (step 1, n + ancilla >= detect), the weights of one heralding outcome.
+
+    The binomial expansion of U (a+)^n (b+)^ancilla |00> sums, over i = n - s,
+    C(n, i) C(ancilla, j) t^(i/2) (-(1-t)^(1/2))^s (1-t)^(j/2) t^((ancilla-j)/2)
+    with j = s + ancilla - detect, times sqrt(m1! m2! / (n1! n2!)). Each column
+    repeats the scalar sum's IEEE operations in its order: powers from Python
+    ``float ** int`` (numpy's ``power`` rounds differently), binomials and
+    factorial ratios as exact integers (int64 while all stay below 2**53),
+    each rounded to float once, and partial sums in ascending i.
+    """
+    n0, count = columns.start, len(columns)
+    # no exact integer below exceeds 2**ancilla (N + ancilla + 1)**max(ancilla, detect), N the last n
+    small = 2**ancilla * (columns.stop + ancilla) ** max(ancilla, detect) < 2**53
+    n = np.arange(n0, n0 + count).astype(np.int64 if small else object)
+    # m1!/n1! and n1!/m1! for the output m1 = n + ancilla - detect; one is 1
+    rise = np.prod(n[:, None] + np.arange(1, ancilla - detect + 1), axis=1)
+    fall = np.prod(n[:, None] - np.arange(detect - ancilla), axis=1)
+    s_min = max(0, detect - ancilla)
+    combs = [fall // math.factorial(s_min)]  # C(n, s) for s = s_min..detect; 0 where s > n
+    for s in range(s_min, detect):
+        combs.append(combs[-1] * (n - s) // (s + 1))
+    amp_t, amp_r = math.sqrt(t), math.sqrt(1.0 - t)
+    powers_t = (amp_t ** np.arange(n0 + count - s_min).astype(object)).astype(float)
+    total = np.zeros(count)
+    for s in range(detect, s_min - 1, -1):  # ascending i
+        j = s + ancilla - detect
+        first = min(count, max(0, s - n0))  # columns with i >= 0
+        coef = (combs[s - s_min][first:] * math.comb(ancilla, j)).astype(float)
+        total[first:] += (coef * powers_t[n0 + first - s:n0 + count - s]
+                          * (-amp_r) ** s * amp_r**j * amp_t ** (detect - s))
+    # the int/int division rounds the unchanged rational once
+    k2 = min(ancilla, detect)
+    ratio = rise * math.perm(detect, detect - k2) / (fall * math.perm(ancilla, ancilla - k2))
+    return total * np.sqrt(ratio.astype(float))
 
 
 def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float) -> HeraldResult:
     """Mix mode B with |ancilla_photons> on a transmissivity-t beam splitter and
     post-select on detecting ``detect_photons`` at the ancilla output."""
-    if ancilla_photons < 0 or detect_photons < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    ancilla_photons = _photon_number("ancilla_photons", ancilla_photons)
+    detect_photons = _photon_number("detect_photons", detect_photons)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"invalid transmissivity {t}")
     amps = state.amplitudes
@@ -159,10 +187,7 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
     # over the dense moduli: over the support alone it would regroup.
     n0 = max(0, detect_photons - ancilla_photons)
     m0 = n0 + ancilla_photons - detect_photons
-    weights = np.array(
-        [beam_splitter_element(m0 + k, detect_photons, n0 + k, ancilla_photons, t)
-         for k in range(amps.shape[1] - n0)]
-    )
+    weights = beam_splitter_weights(range(n0, amps.shape[1]), ancilla_photons, detect_photons, t)
     rows, cols = state.support
     shifted = cols >= n0
     rows, cols = rows[shifted], cols[shifted]

@@ -636,15 +636,25 @@ def setting_value(key, setting):
 @st.composite
 def run_arguments(draw):
     """One run's argument list: each setting its command takes, given or not;
-    ``--grid-points`` is always given, ``--out`` never."""
+    ``--grid-points`` is always given, ``--out`` never. About half the runs of
+    ``point`` give one transmissivity per drawn ``ksel``, so that an operation's
+    transmissivities reach their own check."""
     command = draw(st.sampled_from(["point", "sweep", "optimize"]))
     args = [command]
+    ksel = cli.SETTINGS["ksel"].default
     for key, setting in cli.SETTINGS.items():
         if command not in setting.commands or key == "out":
             continue
+        flag = "--" + key.replace("_", "-")
+        if key == "t" and 0 <= ksel <= 5 and draw(st.booleans()):
+            ts = draw(st.lists(EXTREME_FLOATS, min_size=ksel, max_size=ksel))
+            args.append(f"{flag}={','.join(map(repr, ts))}")
+            continue
         if key != "grid_points" and draw(st.integers(0, 2)):  # a third are given
             continue
-        value, flag = draw(setting_value(key, setting)), "--" + key.replace("_", "-")
+        value = draw(setting_value(key, setting))
+        if key == "ksel":
+            ksel = value
         if setting.type is bool:
             args.append(flag if value else "--no-" + flag[2:])
         else:

@@ -1,6 +1,7 @@
 """Truncated-Fock engine self-tests: states, beam splitter, heralding, moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mmcvqkd.fock import (
     MAX_FOCK_CUTOFF,
     FockState,
     beam_splitter_element,
+    beam_splitter_weights,
     build_tmsv,
     extract_cm,
     herald,
@@ -18,6 +20,21 @@ from mmcvqkd.fock import (
     quadrature_moments,
     tmsv_cutoff,
 )
+
+
+def reference_element(m1, m2, n1, n2, t):
+    """<m1, m2| U |n1, n2> by the scalar binomial sum, with m1! m2! / (n1! n2!)
+    formed in full: the same rational as the engine's cancelled ratio, so the
+    bits agree."""
+    amp_t, amp_r = math.sqrt(t), math.sqrt(1.0 - t)
+    total = 0.0
+    for i in range(max(0, m1 - n2), min(n1, m1) + 1):
+        j = m1 - i
+        total += (math.comb(n1, i) * math.comb(n2, j) * amp_t**i
+                  * (-amp_r) ** (n1 - i) * amp_r**j * amp_t ** (n2 - j))
+    return total * math.sqrt(
+        math.factorial(m1) * math.factorial(m2) / (math.factorial(n1) * math.factorial(n2))
+    )
 
 
 class TestBuildTmsv:
@@ -100,28 +117,49 @@ class TestBeamSplitterElement:
         assert math.fsum(element**2 for element in column) == pytest.approx(1.0, abs=1e-12)
 
     def test_factorial_ratio_matches_big_integer_reference(self):
-        # the element divides out the common factorials; the reference forms
-        # m1! m2! / (n1! n2!) in full, the same rational, so the bits agree
-        def reference(m1, m2, n1, n2, t):
-            amp_t, amp_r = math.sqrt(t), math.sqrt(1.0 - t)
-            total = 0.0
-            for i in range(max(0, m1 - n2), min(n1, m1) + 1):
-                j = m1 - i
-                total += (math.comb(n1, i) * math.comb(n2, j) * amp_t**i
-                          * (-amp_r) ** (n1 - i) * amp_r**j * amp_t ** (n2 - j))
-            return total * math.sqrt(
-                math.factorial(m1) * math.factorial(m2)
-                / (math.factorial(n1) * math.factorial(n2))
-            )
-
         cases = [(m1, total - m1, n1, total - n1)
                  for total in range(13) for m1 in range(total + 1) for n1 in range(total + 1)]
-        # herald's columns: detect in {0, 1}, ancilla in {0, 1}, up to cutoff 855
+        # herald's columns: detect in {0, 1}, ancilla in {0, 1}, up to cutoff
+        # 855 (r = 2.5), 1,368 (a 1e-16 tail at r = 2.5) and MAX_FOCK_CUTOFF
         cases += [(n_b + anc - det, det, n_b, anc)
-                  for n_b in (1, 2, 314, 315, 854, 855) for anc in (0, 1) for det in (0, 1)]
-        for t in (0.1, 0.63, 0.999):
+                  for n_b in (1, 2, 314, 315, 854, 855, 1367, 1368, MAX_FOCK_CUTOFF)
+                  for anc in (0, 1) for det in (0, 1)]
+        for t in (0.1, 0.63, 0.999, 1.0):
             for case in cases:
-                assert beam_splitter_element(*case, t).hex() == reference(*case, t).hex(), case
+                assert beam_splitter_element(*case, t).hex() == reference_element(*case, t).hex(), case
+
+    @pytest.mark.parametrize("ancilla,detect", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_column_weights_match_the_scalar_reference(self, ancilla, detect):
+        # every column herald weights at cutoff 1,368, in one call
+        columns = range(max(0, detect - ancilla), 1369)
+        weights = beam_splitter_weights(columns, ancilla, detect, 0.63)
+        assert [w.hex() for w in weights.tolist()] == [
+            reference_element(n_b + ancilla - detect, detect, n_b, ancilla, 0.63).hex()
+            for n_b in columns
+        ]
+
+    @pytest.mark.parametrize("ancilla", [0, 1])
+    def test_every_detection_at_cutoff_60_matches_the_reference(self, ancilla):
+        # detections up to the cutoff reach binomials and factorial ratios far
+        # above 2**53, which must stay exact Python integers
+        for detect in range(60 + ancilla + 1):
+            columns = range(max(0, detect - ancilla), 61)
+            weights = beam_splitter_weights(columns, ancilla, detect, 0.9)
+            assert [w.hex() for w in weights.tolist()] == [
+                reference_element(n_b + ancilla - detect, detect, n_b, ancilla, 0.9).hex()
+                for n_b in columns
+            ], detect
+        state = build_tmsv(1.15, cutoff=60)
+        assert outcome_probabilities(state, ancilla, 0.9).sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, "1", None])
+    def test_non_integer_photon_number_rejected_by_name(self, value):
+        for position, name in enumerate(("m1", "m2", "n1", "n2")):
+            args = [1, 1, 1, 1]
+            args[position] = value
+            message = f"{name} = {value!r} is not a nonnegative integer photon number"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                beam_splitter_element(*args, 0.5)
 
     def test_transparent_splitter_is_identity(self):
         assert beam_splitter_element(2, 1, 2, 1, 1.0) == pytest.approx(1.0)
@@ -195,6 +233,20 @@ class TestHerald:
             herald(state, 0, 1, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             herald(state, -1, 0, 0.5)
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, np.float64(1.0)])
+    def test_non_integer_photon_number_rejected_by_name(self, value):
+        # a float must fail by name, not inside range(), and True is no photon count
+        state = build_tmsv(0.5)
+        with pytest.raises(ValueError, match=re.escape(f"ancilla_photons = {value!r} is not")):
+            herald(state, value, 1, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"detect_photons = {value!r} is not")):
+            herald(state, 1, value, 0.5)
+
+    def test_numpy_integer_photon_number_accepted(self):
+        state = build_tmsv(0.5)
+        result, expected = herald(state, np.int64(1), np.int64(1), 0.5), herald(state, 1, 1, 0.5)
+        assert (result.cm, result.probability) == (expected.cm, expected.probability)
 
 
 class TestExtractCm:

@@ -86,6 +86,12 @@ class TestOptimize:
         assert result.no_positive_key
         assert result.best_rate <= 0.0
 
+    def test_clamped_optimum_of_zero_has_no_positive_key(self):
+        # every sub-channel clamps to 0, so the optimum is exactly 0: no key
+        result = optimize(_problem(channel=ChannelParams(eta_e=1e-3, epsilon=2.0), clamp=True))
+        assert result.best_rate == 0.0
+        assert result.no_positive_key
+
     def test_grid_convergence(self):
         for overrides in (
             {},
@@ -142,6 +148,29 @@ class TestOptimize:
             _problem(spectrum=make_spectrum("single", 10_000), grid_points=1000)
         with pytest.raises(ValueError, match="g_max 40.0 .* MAX_SUPERMODE_SQUEEZING = 2.5"):
             _problem(spectrum=make_spectrum("exp", 5, 2.0), g_max=40.0)
+
+    def test_squeezing_message_in_full(self):
+        # uniform over 4 supermodes: lambda_1 = 0.5, so r = 6 * 0.5 and the cap is 2.5 / 0.5
+        with pytest.raises(ValueError) as excinfo:
+            _problem(spectrum=make_spectrum("uniform", 4), g_max=6.0)
+        assert str(excinfo.value) == (
+            "g_max 6.0 squeezes the leading supermode to r = 3, above the limit "
+            "MAX_SUPERMODE_SQUEEZING = 2.5, past which the key rate loses its precision; "
+            "use g_max <= 5.0"
+        )
+
+    def test_kernel_points_at_the_grid_guard(self):
+        # k_sel = 1 and n = 1000: k_sel n^2 + (k_max - k_sel) n kernel points are
+        # 1,999,000 at k_max = 1000, under MAX_GRID_SIZE, and 2,001,000 at 1002
+        operated = dict(op_kind=OpKind.PC0, k_sel=1, grid_points=1000)
+        assert _problem(spectrum=make_spectrum("single", 1000), **operated).k_sel == 1
+        with pytest.raises(ValueError) as excinfo:
+            _problem(spectrum=make_spectrum("single", 1002), **operated)
+        assert str(excinfo.value) == (
+            "coarse grid of grid_points = 1000: 1000^2 points and 2001000 kernel points over "
+            "k_max = 1002 supermodes; the larger exceeds MAX_GRID_SIZE = 2000000; lower "
+            "grid_points, k_sel or k_max"
+        )
 
     def test_non_finite_grid_names_its_first_g(self, monkeypatch):
         def nan_from_fourth_g(*args, **kwargs):
