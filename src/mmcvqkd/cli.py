@@ -34,7 +34,7 @@ from .keyrate import DEFAULT_RECONCILIATION_EFFICIENCY, RateParams, total_rate
 from .operations import NonGaussianOpSpec, OpKind, apply_to_supermodes
 from .optimize import DEFAULT_GRID_POINTS, OptimizationProblem, check_bound_squeezing, optimize
 from .source import DEFAULT_DECAY, DEFAULT_K_MAX, MAX_K_MAX, Scenario, SourceParams, make_spectrum
-from .verification import DEFAULT_CM_TOL, DEFAULT_MI_TOL, DEFAULT_PROB_TOL, run_all_checks
+from .verification import run_all_checks
 
 ENV_PREFIX = "MMCVQKD_"
 # A loss range may expand to at most this many points. A range beyond it is a
@@ -419,13 +419,8 @@ def parse_csv_records(text: str) -> list[SweepRecord]:
     return records
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    for key, value in (("tol-cm", args.tol_cm), ("tol-prob", args.tol_prob), ("tol-mi", args.tol_mi)):
-        if not 0.0 <= value < math.inf:
-            raise UsageError(f"{key}: must be finite and >= 0, got {value}")
-    results = run_all_checks(
-        cm_tol=args.tol_cm, prob_tol=args.tol_prob, mi_tol=args.tol_mi
-    )
+def cmd_verify() -> int:
+    results = run_all_checks()
     for result in results:
         print(result.report_line())
     failures = [result for result in results if not result.passed]
@@ -486,22 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, help="write the refinement trace (params, rate) to this JSON file"
     )
 
-    verify = sub.add_parser("verify", help="run the closed-form vs oracle cross-checks")
-    verify.add_argument("--tol-cm", type=float, default=DEFAULT_CM_TOL, help="CM entry tolerance")
-    verify.add_argument("--tol-prob", type=float, default=DEFAULT_PROB_TOL, help="probability tolerance")
-    verify.add_argument("--tol-mi", type=float, default=DEFAULT_MI_TOL, help="mutual-information tolerance")
+    sub.add_parser("verify", help="run the closed-form vs oracle cross-checks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        try:
-            return cmd_verify(args)
-        except UsageError as exc:  # a check that raises is a defect, not a usage error
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if args.command == "verify":  # a check that raises is a defect, not a usage error
+        return cmd_verify()
     try:
         settings = build_settings(args)
         losses = _losses(settings, args.command)

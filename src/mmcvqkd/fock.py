@@ -173,9 +173,9 @@ def beam_splitter_weights(columns: range, ancilla: int, detect: int, t: float) -
     return total * np.sqrt(ratio.astype(float))
 
 
-def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float) -> HeraldResult:
-    """Mix mode B with |ancilla_photons> on a transmissivity-t beam splitter and
-    post-select on detecting ``detect_photons`` at the ancilla output."""
+def _heralded_band(state: FockState, ancilla_photons: int, detect_photons: int, t: float):
+    """The unnormalized heralded amplitudes of one outcome as (rows, cols, band),
+    the output array's shape, and the outcome's probability."""
     ancilla_photons = _photon_number("ancilla_photons", ancilla_photons)
     detect_photons = _photon_number("detect_photons", detect_photons)
     if not 0.0 < t <= 1.0:
@@ -196,7 +196,13 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
     shape = (amps.shape[0], amps.shape[1] + ancilla_photons)
     mass = np.zeros(shape)
     mass[rows, cols] = np.square(np.abs(band))
-    probability = float(mass.sum())
+    return rows, cols, band, shape, float(mass.sum())
+
+
+def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float) -> HeraldResult:
+    """Mix mode B with |ancilla_photons> on a transmissivity-t beam splitter and
+    post-select on detecting ``detect_photons`` at the ancilla output."""
+    rows, cols, band, shape, probability = _heralded_band(state, ancilla_photons, detect_photons, t)
     if probability <= 0.0:
         return HeraldResult(cm=None, probability=0.0, state=None)
     band /= math.sqrt(probability)
@@ -209,10 +215,10 @@ def herald(state: FockState, ancilla_photons: int, detect_photons: int, t: float
 
 def outcome_probabilities(state: FockState, ancilla_photons: int, t: float) -> np.ndarray:
     """Probability of every ancilla photon-number outcome (they sum to 1 up to
-    the truncation tail)."""
+    the truncation tail), each as ``herald`` gives it, with no heralded state built."""
     max_outcome = state.amplitudes.shape[1] - 1 + ancilla_photons
     return np.array(
-        [herald(state, ancilla_photons, m, t).probability for m in range(max_outcome + 1)]
+        [_heralded_band(state, ancilla_photons, m, t)[-1] for m in range(max_outcome + 1)]
     )
 
 

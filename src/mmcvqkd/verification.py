@@ -130,13 +130,9 @@ def check_two_mode_symplectic(tol: float = DEFAULT_SYMPLECTIC_TOL, draws: int = 
     return CheckResult("two-mode-symplectic-closed-form", dev, tol)
 
 
-def run_all_checks(
-    cm_tol: float = DEFAULT_CM_TOL,
-    prob_tol: float = DEFAULT_PROB_TOL,
-    mi_tol: float = DEFAULT_MI_TOL,
-) -> list[CheckResult]:
-    results = check_heralded_ops(cm_tol, prob_tol)
-    results.append(check_tmsv_cm(cm_tol))
-    results.append(check_mutual_information(mi_tol))
+def run_all_checks() -> list[CheckResult]:
+    results = check_heralded_ops(DEFAULT_CM_TOL, DEFAULT_PROB_TOL)
+    results.append(check_tmsv_cm(DEFAULT_CM_TOL))
+    results.append(check_mutual_information(DEFAULT_MI_TOL))
     results.append(check_two_mode_symplectic())
     return results

@@ -13,7 +13,7 @@
 
 A change that moves an optimum, a herald or an output byte changes its file.
 ``tests/test_golden.py`` and, for the Fock oracle, ``tests/test_fock_golden.py``
-reproduce each file's ``tier1`` entries byte for byte. Rewrite every file with
+reproduce every entry of every file byte for byte. Rewrite every file with
 
     PYTHONPATH=src python3 tests/golden.py && git diff --stat tests/data
 
@@ -173,22 +173,16 @@ class Golden(NamedTuple):
 
     entries: list
     text: Callable[..., str]
-    tier1: dict[str, int]  # the test id and index of each entry tier-1 reproduces
+    tier1: dict[str, int]  # the test id and index of every entry, all reproduced by tier-1
     head: Callable[..., str] | None = None  # the start of each line; None: one entry per file
 
 
 PANEL_ROWS = panel_rows()
-_UNNAMED = len(PANEL_ROWS) - len(NAMED_ROWS)
-# Every tenth solve, every named row, and the largest default grid with memory.
-_PANEL_TIER1 = sorted(
-    {*range(0, _UNNAMED, 10), *range(_UNNAMED, len(PANEL_ROWS)),
-     PANEL_ROWS.index(("panel", PanelCase("exp", OpKind.PC0, 3, True, 30.0)))}
-)
 
 GOLDEN = {
     "optimum_panel.txt": Golden(
         PANEL_ROWS, lambda row: solve_line(*row) + "\n",
-        {panel_id(*PANEL_ROWS[i]): i for i in _PANEL_TIER1}, lambda row: panel_head(*row),
+        {panel_id(*row): i for i, row in enumerate(PANEL_ROWS)}, lambda row: panel_head(*row),
     ),
     "fock_oracle.txt": Golden(
         FOCK_CASES, lambda case: herald_line(case) + "\n",

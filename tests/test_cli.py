@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmcvqkd import cli, source
+from mmcvqkd import cli, source, verification
 from mmcvqkd.channel import ChannelParams, DetectorParams
 from mmcvqkd.keyrate import RateParams, total_rate
 from mmcvqkd.operations import apply_to_supermodes
@@ -662,6 +662,18 @@ def run_arguments(draw):
     return args
 
 
+def assert_finite_records(out, args):
+    rows = json.loads(out) if "--format=json" in args else map(vars, cli.parse_csv_records(out))
+    numbers = [number for row in rows for value in row.values()
+               if not isinstance(value, (str, bool))
+               for number in (value if isinstance(value, (list, tuple)) else [value])]
+    assert numbers and all(map(math.isfinite, numbers)), out
+
+
+# The edges of the transmissivity box (0, 1), and 1 itself, which only 0-PC takes.
+T_EDGES = [0.0, 1e-300, 0.5, 0.999, 1.0, 1.0000001, -0.1, math.nan, math.inf]
+
+
 class TestSettingsProperty:
     @settings(max_examples=400, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -670,17 +682,30 @@ class TestSettingsProperty:
         with time_limit(10.0):
             code, out, err = run_cli(args, capsys)
         if code == 0:
-            rows = json.loads(out) if "--format=json" in args else map(
-                vars, cli.parse_csv_records(out)
-            )
-            numbers = [number for row in rows for value in row.values()
-                       if not isinstance(value, (str, bool))
-                       for number in (value if isinstance(value, (list, tuple)) else [value])]
-            assert numbers and all(map(math.isfinite, numbers)), out
+            assert_finite_records(out, args)
         else:
             assert code == 2 and out == ""
             match = re.fullmatch(r"error: ([\w-]+)[^\n]*\n", err)
             assert match and match.group(1) in SETTING_NAMES, err
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        op=st.sampled_from(["0pc", "1ps", "1pa", "1pc"]),
+        ts=st.lists(st.sampled_from(T_EDGES), min_size=1, max_size=3),
+        scenario=st.sampled_from(["exp", "uniform"]),
+    )
+    def test_point_transmissivities_reach_their_check(self, capsys, op, ts, scenario):
+        # Every other setting is valid, so each run stands or falls on its --t alone.
+        args = ["point", "--scenario", scenario, "--op", op, "--ksel", str(len(ts)),
+                f"--t={','.join(map(repr, ts))}", "--loss-db", "10"]
+        code, out, err = run_cli(args, capsys)
+        if all(0.0 < t < 1.0 or (t == 1.0 and op == "0pc") for t in ts):
+            assert (code, err) == (0, ""), err
+            assert_finite_records(out, args)
+        else:
+            assert code == 2 and out == ""
+            assert re.fullmatch(r"error: t: invalid transmissivity \S+ for \w+\n", err), err
 
 
 COMMON_OPTIONS = {
@@ -692,7 +717,7 @@ OPTIONS = {
     "point": COMMON_OPTIONS | {"--gain", "--t"},
     "sweep": COMMON_OPTIONS | {"--workers", "--grid-points", "--g-max"},
     "optimize": COMMON_OPTIONS | {"--grid-points", "--g-max", "--trace"},
-    "verify": {"-h", "--help", "--tol-cm", "--tol-prob", "--tol-mi"},
+    "verify": {"-h", "--help"},
 }
 
 
@@ -759,18 +784,22 @@ class TestVerify:
         assert "all" in out and "passed" in out
         assert out.count("PASS") >= 10
 
-    def test_tightened_tolerance_reports_tolerance_miss(self, capsys):
-        code, out, err = run_cli(["verify", "--tol-cm", "1e-15", "--tol-prob", "1e-15"], capsys)
+    def test_tightened_tolerance_reports_tolerance_miss(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "DEFAULT_CM_TOL", 1e-15)
+        monkeypatch.setattr(verification, "DEFAULT_PROB_TOL", 1e-15)
+        code, out, err = run_cli(["verify"], capsys)
         assert code == 1
         assert "tolerance-miss" in out
         assert "structural-mismatch" not in out
         assert "FAILED" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1"])
     @pytest.mark.parametrize("flag", ["--tol-cm", "--tol-prob", "--tol-mi"])
     def test_degenerate_tolerance_is_named_usage_error(self, capsys, flag, value):
-        # A NaN or negative tolerance fails every check, an infinite one passes them all.
-        code, out, err = run_cli(["verify", flag, value], capsys)
-        assert code == 2
-        assert out == ""  # no PASS or FAIL line
-        assert err.startswith(f"error: {flag[2:]}: must be finite and >= 0")
+        # The bounds are fixed in code: no tolerance, degenerate or not, is an option.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""  # no PASS or FAIL line
+        assert f"unrecognized arguments: {flag} {value}" in captured.err

@@ -10,7 +10,7 @@ from mmcvqkd.operations import OpKind, heralded_entries
 
 def test_all_checks_pass_at_default_tolerances():
     results = verification.run_all_checks()
-    assert all(result.passed for result in results)
+    assert all(result.passed and result.failure_kind is None for result in results)
     names = {result.name for result in results}
     assert "heralded-cm-1ps" in names
     assert "heralded-prob-0pc" in names
